@@ -126,6 +126,11 @@ void Run(bench::JsonReport& json, double deadline_ms) {
     cfg.threads = config_threads[c];
     engine::EngineRunner runner(cfg);
     actual_threads[c] = runner.threads();  // post-clamp
+    if (c == 1 && actual_threads[1] == 1) {
+      // Clamped to one thread: the t=1 flight above already measured it.
+      flight_ms[1] = flight_ms[0];
+      break;
+    }
     std::string label = "t=" + std::to_string(actual_threads[c]);
     FlightResult best;
     double best_ms = 1e300;
@@ -151,7 +156,7 @@ void Run(bench::JsonReport& json, double deadline_ms) {
               best.lat.Percentile(50), best.lat.Percentile(99), best.morsels,
               best.merge_ms});
   }
-  if (flight_ms[1] > 0) {
+  if (actual_threads[1] > 1) {
     std::printf("(flight speedup: %.2fx at t=%zu over t=1)\n",
                 flight_ms[0] / flight_ms[1], actual_threads[1]);
   }

@@ -3,7 +3,7 @@
 // Simulates the deployment the engine was built for: one EngineRunner
 // (fixed morsel worker pool) admitting a mixed workload from several
 // client threads at once —
-//   * OLAP clients running *prepared* SSB queries through QuerySessions
+//   * OLAP clients running *prepared* SSB queries through the runner
 //     (planned once at startup, cached plans shared across clients), and
 //   * lookup clients hammering point/range reads against a materialized
 //     indexed table, answered by batched shared synchronous scans.
@@ -103,13 +103,12 @@ int main(int argc, char** argv) {
   std::vector<std::string> reports(clients);
   for (size_t c = 0; c < clients; ++c) {
     fork.Spawn([&, c] {
-      auto session = runner.OpenSession();
       char buf[160];
       if (c % 2 == 0) {
         for (size_t q = 0; q < olap_ids.size(); ++q) {
           const std::string& id = olap_ids[q];
           PlanStats stats;
-          auto result = session.Execute(prepared[q], {}, PlanKnobs{}, &stats);
+          auto result = runner.Execute(prepared[q], {}, PlanKnobs{}, &stats);
           if (!result.ok()) return;
           std::snprintf(buf, sizeof(buf),
                         "  client %zu: Q%s -> %4zu rows  %7.2f ms  "
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
           int64_t day = (1992 + static_cast<int64_t>(i % 7)) * 10000 +
                         (1 + static_cast<int64_t>((i / 7) % 12)) * 100 +
                         (1 + static_cast<int64_t>((c + i) % 28));
-          auto ids = session.PointRead(*by_date, day);
+          auto ids = runner.PointRead(*by_date, day);
           if (!ids.ok()) return;
           hits += ids->size();
         }

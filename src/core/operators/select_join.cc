@@ -83,8 +83,10 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
           ctx->knobs().join_buffer_size));
     }
     const std::string label = display_name();
-    auto tuner = pool->TunerFor(label);
-    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label};
+    engine::MorselSite site{.pool = pool,
+                            .trace = ctx->trace(),
+                            .label = label,
+                            .cancel = ctx->cancel()};
     stats.morsels = engine::RunKissValueMorsels(
         site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
           if (!left.Visible(value)) return;  // MVCC snapshot filter

@@ -83,12 +83,12 @@ Status SelectionOp::Execute(ExecContext* ctx) {
                                             std::vector<uint64_t>(width));
     std::vector<std::vector<uint64_t>> keys(
         workers, std::vector<uint64_t>(key_positions.size() + 1));
-    // Adaptive split feedback is keyed per operator site (the planner
-    // stage label), so interleaved queries tune independently. The label
-    // and tuner handle must outlive the driver calls.
+    // The label must outlive the driver calls (trace spans name it).
     const std::string label = display_name();
-    auto tuner = pool->TunerFor(label);
-    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label};
+    engine::MorselSite site{.pool = pool,
+                            .trace = ctx->trace(),
+                            .label = label,
+                            .cancel = ctx->cancel()};
     stats.morsels = engine::RunKissValueMorsels(
         site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
           process(value, rows[w].data(), keys[w].data(),

@@ -76,13 +76,12 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   };
 
   engine::WorkerPool* pool = ctx->worker_pool();
-  // Adaptive split feedback is keyed per operator site (the planner
-  // stage label), so interleaved queries tune independently. The label
-  // and tuner handle must outlive the driver calls below.
+  // The label must outlive the driver calls below (trace spans name it).
   const std::string site_label = display_name();
-  std::shared_ptr<engine::MorselTuner> tuner =
-      pool != nullptr ? pool->TunerFor(site_label) : nullptr;
-  engine::MorselSite site{pool, tuner.get(), ctx->trace(), site_label};
+  engine::MorselSite site{.pool = pool,
+                          .trace = ctx->trace(),
+                          .label = site_label,
+                          .cancel = ctx->cancel()};
   // Forking pays off when the side driving the scan is big enough; the
   // mixed branch overrides this with the KISS (scanned) side's size.
   auto worth_forking = [&](uint64_t scanned_tuples) {

@@ -29,8 +29,6 @@ const char* RankName(LockRank rank) {
     case LockRank::kReadBatcherMap: return "read-batcher-map";
     case LockRank::kReadBatcher: return "read-batcher";
     case LockRank::kScheduler: return "scheduler";
-    case LockRank::kTunerMap: return "tuner-map";
-    case LockRank::kMorselTuner: return "morsel-tuner";
     case LockRank::kMetrics: return "metrics";
     case LockRank::kAllocator: return "allocator";
     case LockRank::kFailpoint: return "failpoint";

@@ -58,10 +58,6 @@ enum class LockRank : int {
   // WorkerPool::mu_ — the morsel deques. Morsel bodies run without it,
   // but they may take any storage-level mutex, so it sits outside them.
   kScheduler = 700,
-  // WorkerPool::tuners_mu_ — the per-site tuner LRU map.
-  kTunerMap = 750,
-  // MorselTuner::mu_ — one site's feedback-loop state.
-  kMorselTuner = 800,
   // obs::MetricsRegistry::mu_ — metric registration / snapshot. Hot
   // paths touch only atomics; the mutex is for the cold map.
   kMetrics = 900,

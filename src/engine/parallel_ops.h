@@ -9,14 +9,8 @@
 // tables re-insert tuples at pre-assigned row ids; aggregated tables
 // fold accumulators via BoundAggSpec::MergeRange) — see
 // PartialOutputs::MergeInto. The input trees are never mutated, so
-// concurrent readers need no synchronization.
-//
-// Split counts are adaptive: each driver reports its batch's per-morsel
-// wall times to its operator site's MorselTuner
-// (WorkerPool::TunerFor, engine/scheduler.h), which refines the split
-// when one straggler morsel dominates and coarsens it when scheduling
-// overhead does — per site, so interleaved queries with different
-// morsel cost profiles keep independent feedback loops.
+// concurrent readers need no synchronization. Every driver and merge
+// splits at WorkerPool::morsel_target() (engine/scheduler.h).
 
 #ifndef QPPT_ENGINE_PARALLEL_OPS_H_
 #define QPPT_ENGINE_PARALLEL_OPS_H_
@@ -31,7 +25,6 @@
 
 #include "core/indexed_table.h"
 #include "core/parallel.h"
-#include "core/stats.h"
 #include "core/sync_scan.h"
 #include "engine/scheduler.h"
 #include "obs/trace.h"
@@ -50,14 +43,12 @@ inline constexpr size_t kMinParallelInputTuples = 4096;
 inline constexpr size_t kMinParallelAggGroups = 64;
 
 // Everything a parallel driver needs to know about its call site: which
-// pool to fork on, which operator-site tuner to feed morsel times to
-// (nullptr = pool default), and — when the query is traced — where and
-// under what stage label to record the spans. The label must outlive the
-// driver call (operators hold it as a local; the trace arena-copies it
-// per span).
+// pool to fork on and — when the query is traced — where and under what
+// stage label to record the spans. The label must outlive the driver
+// call (operators hold it as a local; the trace arena-copies it per
+// span).
 struct MorselSite {
   WorkerPool* pool = nullptr;
-  MorselTuner* tuner = nullptr;
   obs::QueryTrace* trace = nullptr;  // nullptr = tracing off
   std::string_view label;            // stage label for trace spans
   // Query cancellation token (nullptr = not cancellable). Polled once
@@ -66,16 +57,15 @@ struct MorselSite {
   const CancelToken* cancel = nullptr;
 };
 
-// Runs fn(worker, morsel) for every morsel, recording per-morsel wall
-// times and feeding them to the site's tuner; when the site carries a
-// trace, every morsel also records a kMorsel span on its worker's lane.
-// When the site carries a cancel token, it is polled before each morsel
-// body: a cancelled/expired query throws CancelledException, which the
-// pool converts into skip-remaining-morsels and rethrows to the
-// submitter (Plan::Run turns it back into a Status).
+// Runs fn(worker, morsel) for every morsel on the site's pool; when the
+// site carries a trace, every morsel records a kMorsel span on its
+// worker's lane. When the site carries a cancel token, it is polled
+// before each morsel body: a cancelled/expired query throws
+// CancelledException, which the pool converts into
+// skip-remaining-morsels and rethrows to the submitter (Plan::Run turns
+// it back into a Status).
 template <typename Fn>
-void RunTimedMorsels(const MorselSite& site, size_t count, Fn&& fn) {
-  std::vector<double> times(count, 0.0);
+void RunMorsels(const MorselSite& site, size_t count, Fn&& fn) {
   obs::QueryTrace* trace = site.trace;
   const CancelToken* cancel = site.cancel;
   site.pool->Run(count, [&](size_t worker, size_t m) {
@@ -85,24 +75,12 @@ void RunTimedMorsels(const MorselSite& site, size_t count, Fn&& fn) {
     }
     QPPT_FAILPOINT(morsel_exec);
     double t0 = trace != nullptr ? trace->NowUs() : 0.0;
-    Timer t;
     fn(worker, m);
-    times[m] = t.ElapsedMs();
     if (trace != nullptr) {
       trace->Record(worker, site.label, obs::SpanKind::kMorsel, t0,
                     trace->NowUs());
     }
   });
-  (site.tuner != nullptr ? site.tuner : site.pool->tuner())
-      ->RecordBatch(&times);
-}
-
-// Back-compat shim for callers without a trace (tests, utilities).
-template <typename Fn>
-void RunTimedMorsels(WorkerPool* pool, MorselTuner* tuner, size_t count,
-                     Fn&& fn) {
-  RunTimedMorsels(MorselSite{pool, tuner, nullptr, {}}, count,
-                  std::forward<Fn>(fn));
 }
 
 // Validators for the merge-range plans below (exposed for tests): true
@@ -156,7 +134,9 @@ class PartialOutputs {
   // executed (0 = serial merge).
   size_t MergeInto(const MorselSite& site, IndexedTable* final_table);
   size_t MergeInto(WorkerPool* pool, IndexedTable* final_table) {
-    return MergeInto(MorselSite{pool, nullptr, nullptr, {}}, final_table);
+    MorselSite site;
+    site.pool = pool;
+    return MergeInto(site, final_table);
   }
 
   // Test hook: mutates every planned range list before validation, so
@@ -182,23 +162,12 @@ class PartialOutputs {
 template <typename Fn>
 size_t RunKissRangeMorsels(const MorselSite& site, const KissTree& tree,
                            uint32_t lo, uint32_t hi, const Fn& fn) {
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : site.pool->tuner();
-  auto ranges = PartitionKissRange(
-      tree, lo, hi, tuner->MorselTarget(site.pool->num_workers()));
+  auto ranges = PartitionKissRange(tree, lo, hi, site.pool->morsel_target());
   if (ranges.empty()) return 0;
-  RunTimedMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
+  RunMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
     fn(worker, ranges[m].first, ranges[m].second);
   });
   return ranges.size();
-}
-
-template <typename Fn>
-size_t RunKissRangeMorsels(WorkerPool* pool, MorselTuner* tuner,
-                           const KissTree& tree, uint32_t lo, uint32_t hi,
-                           const Fn& fn) {
-  return RunKissRangeMorsels(MorselSite{pool, tuner, nullptr, {}}, tree, lo,
-                             hi, fn);
 }
 
 // Pair-partitions two prefix trees at their branching level
@@ -211,13 +180,10 @@ size_t RunKissRangeMorsels(WorkerPool* pool, MorselTuner* tuner,
 template <typename Fn>
 size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
                             const PrefixTree& right, const Fn& fn) {
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : site.pool->tuner();
   PairScanLevel level = FindPairScanLevel(left, right);
   if (level.slots.empty()) return 0;
-  auto slices = SplitEvenly(level.slots.size(),
-                            tuner->MorselTarget(site.pool->num_workers()));
-  RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
+  auto slices = SplitEvenly(level.slots.size(), site.pool->morsel_target());
+  RunMorsels(site, slices.size(), [&](size_t worker, size_t m) {
     fn(worker, level, slices[m].first, slices[m].second);
   });
   return slices.size();
@@ -237,21 +203,16 @@ template <typename ProcessFn>
 size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
                            uint32_t lo, uint32_t hi, ProcessFn&& process) {
   WorkerPool* pool = site.pool;
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : pool->tuner();
-  const size_t target = tuner->MorselTarget(pool->num_workers());
+  const size_t target = pool->morsel_target();
   auto ranges = PartitionKissRange(tree, lo, hi, target);
   if (ranges.empty()) return 0;
   if (ranges.size() >= pool->num_workers()) {
-    RunTimedMorsels(site, ranges.size(),
-                    [&](size_t worker, size_t m) {
-                      tree.ScanRange(
-                          ranges[m].first, ranges[m].second,
-                          [&](uint32_t, const KissTree::ValueRef& vals) {
-                            vals.ForEach(
-                                [&](uint64_t v) { process(worker, v); });
-                          });
-                    });
+    RunMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
+      tree.ScanRange(ranges[m].first, ranges[m].second,
+                     [&](uint32_t, const KissTree::ValueRef& vals) {
+                       vals.ForEach([&](uint64_t v) { process(worker, v); });
+                     });
+    });
     return ranges.size();
   }
   std::vector<uint64_t> values;
@@ -263,20 +224,12 @@ size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
       values.size(),
       std::min(target,
                (values.size() + kMinSliceValues - 1) / kMinSliceValues));
-  RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
+  RunMorsels(site, slices.size(), [&](size_t worker, size_t m) {
     for (size_t i = slices[m].first; i < slices[m].second; ++i) {
       process(worker, values[i]);
     }
   });
   return slices.size();
-}
-
-template <typename ProcessFn>
-size_t RunKissValueMorsels(WorkerPool* pool, MorselTuner* tuner,
-                           const KissTree& tree, uint32_t lo, uint32_t hi,
-                           ProcessFn&& process) {
-  return RunKissValueMorsels(MorselSite{pool, tuner, nullptr, {}}, tree, lo,
-                             hi, std::forward<ProcessFn>(process));
 }
 
 }  // namespace qppt::engine

@@ -1,12 +1,10 @@
 #include "engine/scheduler.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
-#include <vector>
 
 #include "dbg/invariants.h"
 #include "dbg/lock_rank.h"
@@ -40,72 +38,6 @@ struct InMorselScope {
 
 }  // namespace
 
-void MorselTuner::RecordBatch(std::vector<double>* morsel_ms) {
-  // A 1-morsel batch carries no skew signal, and a batch that was capped
-  // by the partitioner (fewer morsels than requested) would mis-read as
-  // "coarse enough" — both still feed the overhead check below, so only
-  // the degenerate sizes are skipped.
-  if (morsel_ms->size() < 2) return;
-  // Resolved once: tuner decisions are engine-wide signals regardless of
-  // which site's feedback loop fired.
-  static obs::Counter* refines_total = obs::MetricsRegistry::Global().GetCounter(
-      "engine_tuner_refines_total",
-      "Morsel-tuner decisions that doubled a site's split count (skew).");
-  static obs::Counter* coarsens_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "engine_tuner_coarsens_total",
-          "Morsel-tuner decisions that halved a site's split count "
-          "(scheduling overhead).");
-  std::sort(morsel_ms->begin(), morsel_ms->end());
-  double median = (*morsel_ms)[morsel_ms->size() / 2];
-  double max = morsel_ms->back();
-  dbg::RankedLockGuard lock(dbg::LockRank::kMorselTuner, mu_);
-  if (max > kSkewFactor * median && max > kMinMorselMs) {
-    // One shard dominated the fork-join: split finer so the straggler's
-    // key range lands in several steal-able morsels next batch.
-    if (per_worker_ < kMaxPerWorker) {
-      per_worker_ *= 2;
-      ++refines_;
-      refines_total->Add();
-    }
-  } else if (median < kMinMorselMs && per_worker_ > kMinPerWorker) {
-    // Uniform but tiny morsels: scheduling overhead dominates, coarsen.
-    per_worker_ /= 2;
-    ++coarsens_;
-    coarsens_total->Add();
-  }
-}
-
-std::shared_ptr<MorselTuner> WorkerPool::TunerFor(std::string_view site) {
-  dbg::RankedLockGuard lock(dbg::LockRank::kTunerMap, tuners_mu_);
-  auto it = site_tuners_.find(site);
-  if (it == site_tuners_.end()) {
-    if (site_tuners_.size() >= kMaxTunerSites) {
-      // Evict the least-recently-used site. O(sites) scan, but the map is
-      // capped at kMaxTunerSites and eviction only fires on cold misses.
-      auto victim = site_tuners_.begin();
-      for (auto cand = site_tuners_.begin(); cand != site_tuners_.end();
-           ++cand) {
-        if (cand->second.last_used < victim->second.last_used) victim = cand;
-      }
-      site_tuners_.erase(victim);
-      tuner_evictions_->Add();
-    }
-    it = site_tuners_
-             .try_emplace(std::string(site),
-                          SiteEntry{std::make_shared<MorselTuner>(), 0})
-             .first;
-    tuner_sites_->Set(static_cast<int64_t>(site_tuners_.size()));
-  }
-  it->second.last_used = ++tuner_use_clock_;
-  return it->second.tuner;
-}
-
-size_t WorkerPool::num_tuner_sites() const {
-  dbg::RankedLockGuard lock(dbg::LockRank::kTunerMap, tuners_mu_);
-  return site_tuners_.size();
-}
-
 WorkerPool::WorkerPool(size_t threads) {
   auto& reg = obs::MetricsRegistry::Global();
   tasks_executed_ = reg.GetCounter(
@@ -126,11 +58,6 @@ WorkerPool::WorkerPool(size_t threads) {
       "worker id).");
   queue_depth_ = reg.GetGauge(
       "engine_queue_depth", "Morsels queued in worker deques, not yet begun.");
-  tuner_sites_ = reg.GetGauge(
-      "engine_tuner_sites", "Per-operator-site morsel tuners resident.");
-  tuner_evictions_ = reg.GetCounter(
-      "engine_tuner_evictions_total",
-      "Cold tuner sites evicted from the bounded per-site tuner map.");
   if (threads == 0) return;
   deques_.resize(threads);
   workers_.reserve(threads);

@@ -20,17 +20,10 @@
 
 #include <condition_variable>
 #include <cstddef>
-
-#include "dbg/lock_rank.h"
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,60 +33,6 @@ class Gauge;
 }  // namespace qppt::obs
 
 namespace qppt::engine {
-
-// Adaptive morsel sizing: a feedback loop that replaces the engine's
-// fixed morsels-per-worker split count. The parallel drivers
-// (engine/parallel_ops.h) report each batch's per-morsel wall times;
-// when the slowest morsel exceeds ~2x the median (skew — one shard
-// dominating the fork-join), the next batch splits finer so work
-// stealing can even it out; when morsels are so small that scheduling
-// overhead dominates, the next batch splits coarser. The state is
-// deliberately coarse: morsel sources are deterministic tree
-// partitions, so finer/coarser only changes shard count, never
-// correctness. Tuners are keyed per *operator site*
-// (WorkerPool::TunerFor) — a pool-global loop would let interleaved
-// queries with different per-morsel cost profiles pollute each other's
-// split counts.
-class MorselTuner {
- public:
-  static constexpr size_t kBasePerWorker = 8;
-  static constexpr size_t kMinPerWorker = 2;
-  static constexpr size_t kMaxPerWorker = 64;
-  // Re-split when max > kSkewFactor * median.
-  static constexpr double kSkewFactor = 2.0;
-  // Coarsen when the median morsel is shorter than this (scheduling
-  // overhead territory).
-  static constexpr double kMinMorselMs = 0.05;
-
-  // Current split target for a pool with `workers` workers.
-  size_t MorselTarget(size_t workers) const {
-    dbg::RankedLockGuard lock(dbg::LockRank::kMorselTuner, mu_);
-    return workers * per_worker_;
-  }
-
-  size_t per_worker() const {
-    dbg::RankedLockGuard lock(dbg::LockRank::kMorselTuner, mu_);
-    return per_worker_;
-  }
-  size_t refines() const {
-    dbg::RankedLockGuard lock(dbg::LockRank::kMorselTuner, mu_);
-    return refines_;
-  }
-  size_t coarsens() const {
-    dbg::RankedLockGuard lock(dbg::LockRank::kMorselTuner, mu_);
-    return coarsens_;
-  }
-
-  // Feeds one finished batch's per-morsel wall times back into the loop.
-  // `morsel_ms` is consumed (sorted in place).
-  void RecordBatch(std::vector<double>* morsel_ms);
-
- private:
-  mutable std::mutex mu_;
-  size_t per_worker_ = kBasePerWorker;
-  size_t refines_ = 0;   // skew-triggered finer splits
-  size_t coarsens_ = 0;  // overhead-triggered coarser splits
-};
 
 class WorkerPool {
  public:
@@ -111,29 +50,14 @@ class WorkerPool {
 
   size_t num_workers() const { return deques_.empty() ? 1 : deques_.size(); }
 
-  // The default tuner's split target for this pool's next morsel batch
-  // (used by callers without an operator site, e.g. merge-range
-  // planning).
-  size_t morsel_target() const { return tuner_.MorselTarget(num_workers()); }
-  // The pool's default (site-less) tuner.
-  MorselTuner* tuner() { return &tuner_; }
-
-  // The adaptive tuner of one operator site (keyed by the operator's
-  // planner stage label / display name). Each site carries its own
-  // feedback loop, so two interleaved queries with different per-morsel
-  // cost profiles cannot pollute each other's split counts.
-  //
-  // Sites are held in a bounded LRU map (kMaxTunerSites): a workload that
-  // cycles through many distinct plan labels (ad-hoc queries, tests)
-  // evicts its coldest site instead of growing the map forever. The
-  // shared_ptr keeps an evicted tuner alive for any operator still
-  // mid-batch with it; a later request for the same site starts a fresh
-  // feedback loop.
-  static constexpr size_t kMaxTunerSites = 64;
-  std::shared_ptr<MorselTuner> TunerFor(std::string_view site);
-  // Distinct operator sites currently resident (excludes the default
-  // tuner; never exceeds kMaxTunerSites).
-  size_t num_tuner_sites() const;
+  // Morsels per worker in every parallel batch and partitioned merge.
+  // Work stealing evens out skewed morsels; the split must also be fine
+  // enough that a short query's morsels do not queue long behind those
+  // of a concurrent long query (on a 4-thread box, 8 per worker raised
+  // the htap benchmark's latency geomean by 17%; 32 left it unchanged).
+  static constexpr size_t kMorselsPerWorker = 32;
+  // The split target of every morsel batch on this pool.
+  size_t morsel_target() const { return num_workers() * kMorselsPerWorker; }
 
   // Executes fn for every morsel index in [0, num_morsels) and blocks
   // until all have finished. Thread-safe: batches submitted concurrently
@@ -168,15 +92,6 @@ class WorkerPool {
   std::vector<std::thread> workers_;
   size_t next_deque_ = 0;  // round-robin distribution cursor (guarded by mu_)
   bool stop_ = false;
-  MorselTuner tuner_;
-  // Per-site tuners, LRU-bounded at kMaxTunerSites (see TunerFor).
-  struct SiteEntry {
-    std::shared_ptr<MorselTuner> tuner;
-    uint64_t last_used = 0;
-  };
-  mutable std::mutex tuners_mu_;
-  std::map<std::string, SiteEntry, std::less<>> site_tuners_;
-  uint64_t tuner_use_clock_ = 0;  // guarded by tuners_mu_
 
   // Global-registry metrics, resolved once at construction (pointers are
   // stable for the registry's lifetime).
@@ -186,8 +101,6 @@ class WorkerPool {
   obs::Counter* worker_busy_ns_;   // engine_worker_busy_ns_total, per worker
   obs::Counter* worker_idle_ns_;   // engine_worker_idle_ns_total, per worker
   obs::Gauge* queue_depth_;        // engine_queue_depth (queued, unstarted)
-  obs::Gauge* tuner_sites_;        // engine_tuner_sites (resident sites)
-  obs::Counter* tuner_evictions_;  // engine_tuner_evictions_total
 };
 
 }  // namespace qppt::engine

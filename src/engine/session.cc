@@ -594,13 +594,6 @@ Result<QueryResult> EngineRunner::Execute(const PreparedQuery& prepared,
   return Execute(prepared.db(), *plan, knobs, stats);
 }
 
-QuerySession EngineRunner::OpenSession() {
-  return QuerySession(
-      this, static_cast<size_t>(
-                // relaxed: id allocation needs uniqueness only.
-                next_session_id_.fetch_add(1, std::memory_order_relaxed)));
-}
-
 // ---- the write path ----------------------------------------------------------
 
 WriteSession EngineRunner::OpenWriteSession(Database* db) {
@@ -706,36 +699,6 @@ Result<std::string> EngineRunner::ExplainAnalyze(const Database& db,
   out += buf;
   if (stats != nullptr) *stats = std::move(executed);
   return out;
-}
-
-Result<QueryResult> QuerySession::Execute(const Database& db,
-                                          const Plan& plan, PlanKnobs knobs,
-                                          PlanStats* stats) {
-  Timer wall;
-  auto result = runner_->Execute(db, plan, knobs, stats);
-  ++queries_run_;
-  total_wall_ms_ += wall.ElapsedMs();
-  return result;
-}
-
-Result<QueryResult> QuerySession::Execute(const Database& db,
-                                          const query::QuerySpec& spec,
-                                          PlanKnobs knobs, PlanStats* stats) {
-  Timer wall;
-  auto result = runner_->Execute(db, spec, knobs, stats);
-  ++queries_run_;
-  total_wall_ms_ += wall.ElapsedMs();
-  return result;
-}
-
-Result<QueryResult> QuerySession::Execute(const PreparedQuery& prepared,
-                                          const query::QueryParams& params,
-                                          PlanKnobs knobs, PlanStats* stats) {
-  Timer wall;
-  auto result = runner_->Execute(prepared, params, knobs, stats);
-  ++queries_run_;
-  total_wall_ms_ += wall.ElapsedMs();
-  return result;
 }
 
 }  // namespace qppt::engine

@@ -13,9 +13,6 @@
 // the requested keys and co-traverse it with the data tree via the
 // synchronous index scan (core/sync_scan.h) — the same skip-subtree
 // machinery QPPT uses for joins, reused as a multi-query optimization.
-//
-// QuerySession is the per-client handle: a thin wrapper that tracks
-// per-session statistics.
 
 #ifndef QPPT_ENGINE_SESSION_H_
 #define QPPT_ENGINE_SESSION_H_
@@ -79,7 +76,6 @@ struct EngineConfig {
   size_t shed_batch_waiting_threshold = 0;
 };
 
-class QuerySession;
 class WriteSession;
 
 class EngineRunner {
@@ -142,8 +138,6 @@ class EngineRunner {
   [[nodiscard]] Result<QueryResult> Execute(
       const PreparedQuery& prepared, const query::QueryParams& params = {},
       PlanKnobs knobs = PlanKnobs{}, PlanStats* stats = nullptr);
-
-  QuerySession OpenSession();
 
   // ---- the write path (HTAP) ------------------------------------------------
   //
@@ -231,7 +225,6 @@ class EngineRunner {
   struct Batcher;  // defined in session.cc (shared-read group commit)
 
  private:
-  friend class QuerySession;
   friend class WriteSession;
   struct AdmitSlot;  // RAII admission-semaphore guard (session.cc)
   struct ReadPin;    // RAII pinned-snapshot registry entry (session.cc)
@@ -250,7 +243,6 @@ class EngineRunner {
   EngineConfig config_;
   std::unique_ptr<WorkerPool> pool_;
   std::atomic<uint64_t> queries_admitted_{0};
-  std::atomic<uint64_t> next_session_id_{0};
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> shared_scans_{0};
   std::atomic<uint64_t> batched_keys_{0};
@@ -270,43 +262,6 @@ class EngineRunner {
   std::atomic<uint64_t> txns_committed_{0};
   std::atomic<uint64_t> txns_aborted_{0};
   std::atomic<uint64_t> txn_retries_{0};
-};
-
-// A client handle onto the runner: same operations, plus per-session
-// accounting. Cheap to create; use one per client thread.
-class QuerySession {
- public:
-  size_t id() const { return id_; }
-  uint64_t queries_run() const { return queries_run_; }
-  double total_wall_ms() const { return total_wall_ms_; }
-
-  [[nodiscard]] Result<QueryResult> Execute(const Database& db,
-                                            const Plan& plan, PlanKnobs knobs,
-                                            PlanStats* stats = nullptr);
-  [[nodiscard]] Result<QueryResult> Execute(const Database& db,
-                                            const query::QuerySpec& spec,
-                                            PlanKnobs knobs,
-                                            PlanStats* stats = nullptr);
-  [[nodiscard]] Result<QueryResult> Execute(
-      const PreparedQuery& prepared, const query::QueryParams& params = {},
-      PlanKnobs knobs = PlanKnobs{}, PlanStats* stats = nullptr);
-  [[nodiscard]] Result<std::vector<uint64_t>> PointRead(
-      const IndexedTable& table, int64_t key) {
-    return runner_->PointRead(table, key);
-  }
-  [[nodiscard]] Result<std::vector<uint64_t>> RangeRead(
-      const IndexedTable& table, int64_t lo, int64_t hi) {
-    return runner_->RangeRead(table, lo, hi);
-  }
-
- private:
-  friend class EngineRunner;
-  QuerySession(EngineRunner* runner, size_t id) : runner_(runner), id_(id) {}
-
-  EngineRunner* runner_;
-  size_t id_;
-  uint64_t queries_run_ = 0;
-  double total_wall_ms_ = 0;
 };
 
 }  // namespace qppt::engine

@@ -599,113 +599,6 @@ TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
   EXPECT_EQ(small->num_tuples(), 100u);
 }
 
-// ---- adaptive morsel sizing -------------------------------------------------
-
-TEST(MorselTunerTest, RefinesOnSkewUpToTheClamp) {
-  engine::MorselTuner tuner;
-  EXPECT_EQ(tuner.per_worker(), engine::MorselTuner::kBasePerWorker);
-  // One straggler morsel >2x the median: split finer, doubling each
-  // batch until the clamp.
-  size_t prev = tuner.per_worker();
-  for (int round = 0; round < 10; ++round) {
-    std::vector<double> skewed{1.0, 1.0, 1.0, 1.0, 10.0};
-    tuner.RecordBatch(&skewed);
-    EXPECT_GE(tuner.per_worker(), prev);
-    prev = tuner.per_worker();
-  }
-  EXPECT_EQ(tuner.per_worker(), engine::MorselTuner::kMaxPerWorker);
-  EXPECT_GT(tuner.refines(), 0u);
-  EXPECT_EQ(tuner.MorselTarget(4), 4 * engine::MorselTuner::kMaxPerWorker);
-}
-
-TEST(MorselTunerTest, CoarsensOnTinyUniformMorsels) {
-  engine::MorselTuner tuner;
-  for (int round = 0; round < 10; ++round) {
-    std::vector<double> tiny(16, 0.001);
-    tuner.RecordBatch(&tiny);
-  }
-  EXPECT_EQ(tuner.per_worker(), engine::MorselTuner::kMinPerWorker);
-  EXPECT_GT(tuner.coarsens(), 0u);
-}
-
-TEST(MorselTunerTest, BalancedBatchesLeaveTheSplitAlone) {
-  engine::MorselTuner tuner;
-  std::vector<double> balanced{1.0, 1.1, 0.9, 1.0};
-  tuner.RecordBatch(&balanced);
-  EXPECT_EQ(tuner.per_worker(), engine::MorselTuner::kBasePerWorker);
-  // Degenerate batches carry no signal.
-  std::vector<double> one{5.0};
-  tuner.RecordBatch(&one);
-  std::vector<double> none;
-  tuner.RecordBatch(&none);
-  EXPECT_EQ(tuner.per_worker(), engine::MorselTuner::kBasePerWorker);
-}
-
-// Regression for pool-global tuner pollution: two interleaved queries
-// with opposite morsel cost profiles (one skewed — wants finer splits;
-// one uniform-tiny — wants coarser) must tune independently. With one
-// pool-global feedback loop the alternating signals fight each other
-// and neither site converges.
-TEST(MorselTunerTest, InterleavedSitesTuneIndependently) {
-  engine::WorkerPool pool(2);
-  std::shared_ptr<engine::MorselTuner> heavy =
-      pool.TunerFor("join:heavy_query");
-  std::shared_ptr<engine::MorselTuner> tiny = pool.TunerFor("sel:tiny_query");
-  ASSERT_NE(heavy, tiny);
-  // Same site name resolves to the same feedback loop.
-  EXPECT_EQ(heavy, pool.TunerFor("join:heavy_query"));
-  EXPECT_EQ(pool.num_tuner_sites(), 2u);
-
-  for (int round = 0; round < 10; ++round) {
-    // Interleave the two queries' batches, as concurrent admission does.
-    std::vector<double> skewed{1.0, 1.0, 1.0, 1.0, 10.0};
-    heavy->RecordBatch(&skewed);
-    std::vector<double> uniform_tiny(16, 0.001);
-    tiny->RecordBatch(&uniform_tiny);
-  }
-  EXPECT_EQ(heavy->per_worker(), engine::MorselTuner::kMaxPerWorker)
-      << "skewed site failed to refine — polluted by the tiny site?";
-  EXPECT_EQ(tiny->per_worker(), engine::MorselTuner::kMinPerWorker)
-      << "tiny site failed to coarsen — polluted by the skewed site?";
-  // The pool's default tuner saw none of it.
-  EXPECT_EQ(pool.tuner()->per_worker(), engine::MorselTuner::kBasePerWorker);
-}
-
-// The tuner feedback is wired into the drivers: a skewed key
-// distribution (one giant duplicate chain) refines the pool's split.
-TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
-  engine::WorkerPool pool(2);
-  size_t before = pool.tuner()->per_worker();
-  KissTree tree;
-  size_t l2 = tree.level2_bits();
-  // 64 buckets; bucket 0 holds 64x the work of the others.
-  for (uint32_t b = 0; b < 64; ++b) {
-    for (uint32_t i = 0; i < (b == 0 ? 6400u : 100u); ++i) {
-      tree.Insert(static_cast<uint32_t>(b << l2) + (i % 8), i);
-    }
-  }
-  std::atomic<uint64_t> seen{0};
-  for (int round = 0; round < 20; ++round) {
-    engine::RunKissRangeMorsels(
-        &pool, pool.tuner(), tree, 0, 0xFFFFFFFFu,
-        [&](size_t, uint32_t lo, uint32_t hi) {
-          tree.ScanRange(lo, hi,
-                         [&](uint32_t, const KissTree::ValueRef& vals) {
-                           // Simulate per-tuple work so the skew is
-                           // measurable on a fast machine.
-                           vals.ForEach([&](uint64_t v) {
-                             seen.fetch_add(v, std::memory_order_relaxed);
-                           });
-                         });
-        });
-    if (pool.tuner()->per_worker() > before) break;
-  }
-  // The refinement is timing-dependent; what must ALWAYS hold is that
-  // the tuner never leaves its clamp range and the scan stays correct.
-  EXPECT_GE(pool.tuner()->per_worker(), engine::MorselTuner::kMinPerWorker);
-  EXPECT_LE(pool.tuner()->per_worker(), engine::MorselTuner::kMaxPerWorker);
-}
-
 // ---- session front door: shared-scan reads ---------------------------------
 
 class SessionReadTest : public ::testing::Test {
@@ -750,11 +643,10 @@ TEST_F(SessionReadTest, ConcurrentPointReadsMatchReference) {
   ForkJoin fork(kClients);
   for (size_t c = 0; c < kClients; ++c) {
     fork.Spawn([&, c] {
-      auto session = runner.OpenSession();
       Rng rng(1000 + c);
       for (size_t i = 0; i < kReadsPerClient; ++i) {
         int64_t key = static_cast<int64_t>(rng.NextBounded(2200));
-        auto ids = session.PointRead(*table_, key);
+        auto ids = runner.PointRead(*table_, key);
         if (!ids.ok()) {
           mismatches++;
           continue;
@@ -778,8 +670,7 @@ TEST_F(SessionReadTest, ConcurrentPointReadsMatchReference) {
 
 TEST_F(SessionReadTest, RangeReadsAscendAndMatchReference) {
   engine::EngineRunner runner(engine::EngineConfig{.threads = 1});
-  auto session = runner.OpenSession();
-  auto result = session.RangeRead(*table_, 100, 140);
+  auto result = runner.RangeRead(*table_, 100, 140);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const std::vector<uint64_t>& ids = *result;
   std::multiset<uint64_t> want;
@@ -798,8 +689,8 @@ TEST_F(SessionReadTest, RangeReadsAscendAndMatchReference) {
     last = k;
   }
   // Degenerate inputs.
-  EXPECT_TRUE(session.RangeRead(*table_, 50, 40)->empty());
-  EXPECT_TRUE(session.PointRead(*table_, 999999)->empty());
+  EXPECT_TRUE(runner.RangeRead(*table_, 50, 40)->empty());
+  EXPECT_TRUE(runner.PointRead(*table_, 999999)->empty());
 }
 
 TEST_F(SessionReadTest, ReleaseReadsEvictsBatcherAndLaterReadsStillWork) {

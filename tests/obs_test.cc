@@ -1,14 +1,12 @@
 // Observability units (ISSUE 7): MetricsRegistry shard folding and
 // exposition formats, histogram bucketing, snapshot consistency under
-// concurrent writers (TSan-checked by the engine CI job), QueryTrace
-// span recording + chrome://tracing JSON well-formedness, and the
-// WorkerPool per-site tuner LRU bound.
+// concurrent writers (TSan-checked by the engine CI job), and QueryTrace
+// span recording + chrome://tracing JSON well-formedness.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,44 +296,6 @@ TEST(TraceToJsonTest, WellFormedWithThreadNamesAndEscaping) {
   EXPECT_NE(json.find("\"dur\": 1.500"), std::string::npos);
   // Quote and backslash escaped in the label.
   EXPECT_NE(json.find("weird\\\"label\\\\x"), std::string::npos);
-}
-
-// ---- WorkerPool per-site tuner LRU (ISSUE 7 satellite) -----------------------
-
-TEST(TunerSiteLruTest, EvictsColdSitesAtCap) {
-  uint64_t evictions_before = MetricsRegistry::Global().Snapshot().CounterValue(
-      "engine_tuner_evictions_total");
-  engine::WorkerPool pool(0);
-  // The first site becomes the LRU victim once the map fills; hold its
-  // tuner to prove eviction does not invalidate in-flight users.
-  std::shared_ptr<engine::MorselTuner> first = pool.TunerFor("site-0");
-  constexpr size_t kSites = engine::WorkerPool::kMaxTunerSites + 16;
-  for (size_t i = 1; i < kSites; ++i) {
-    pool.TunerFor("site-" + std::to_string(i));
-  }
-  EXPECT_EQ(pool.num_tuner_sites(), engine::WorkerPool::kMaxTunerSites);
-  uint64_t evictions_after = MetricsRegistry::Global().Snapshot().CounterValue(
-      "engine_tuner_evictions_total");
-  EXPECT_GE(evictions_after - evictions_before, 16u);
-
-  // The evicted tuner still works for whoever holds it.
-  EXPECT_GT(first->MorselTarget(4), 0u);
-  // Re-requesting an evicted site yields a fresh feedback loop.
-  std::shared_ptr<engine::MorselTuner> again = pool.TunerFor("site-0");
-  EXPECT_NE(again.get(), first.get());
-  EXPECT_EQ(pool.num_tuner_sites(), engine::WorkerPool::kMaxTunerSites);
-}
-
-TEST(TunerSiteLruTest, RecentlyUsedSiteSurvivesEviction) {
-  engine::WorkerPool pool(0);
-  std::shared_ptr<engine::MorselTuner> hot = pool.TunerFor("hot-site");
-  for (size_t i = 0; i < engine::WorkerPool::kMaxTunerSites - 1; ++i) {
-    pool.TunerFor("cold-" + std::to_string(i));
-    pool.TunerFor("hot-site");  // keep the hot site's clock fresh
-  }
-  // One more cold site forces an eviction; the hot site must survive.
-  pool.TunerFor("cold-overflow");
-  EXPECT_EQ(pool.TunerFor("hot-site").get(), hot.get());
 }
 
 }  // namespace

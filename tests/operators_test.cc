@@ -13,6 +13,7 @@
 #include "core/operators/set_ops.h"
 #include "core/operators/star_join.h"
 #include "core/plan.h"
+#include "engine/scheduler.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 
@@ -109,6 +110,17 @@ class OperatorsTest : public ::testing::Test {
   int64_t CustRegion(int64_t custkey) {
     return Int64FromSlot(
         Table("customer").GetSlot(static_cast<Rid>(custkey), 1));
+  }
+
+  // sales ⋈ part on partkey: 20000 emitted pairs over two KISS mains.
+  static StarJoinSpec SalesPartJoin() {
+    StarJoinSpec join;
+    join.left = SideRef::Base("sales_partkey");
+    join.left_columns = {"orderdate", "amount"};
+    join.right = SideRef::Base("part_pk");
+    join.right_columns = {};
+    join.output = {"result", {"orderdate"}, {}};
+    return join;
   }
 
   Database db_;
@@ -608,13 +620,7 @@ TEST_F(OperatorsTest, SerialStarJoinPollsCancellationMidScan) {
   ExecContext ctx(&db_, knobs);
 
   // sales ⋈ part on partkey: 20000 emitted pairs > kCancelStride.
-  StarJoinSpec join;
-  join.left = SideRef::Base("sales_partkey");
-  join.left_columns = {"orderdate", "amount"};
-  join.right = SideRef::Base("part_pk");
-  join.right_columns = {};
-  join.output = {"result", {"orderdate"}, {}};
-  StarJoinOp op(join);
+  StarJoinOp op(SalesPartJoin());
   bool unwound = false;
   try {
     Status st = op.Execute(&ctx);
@@ -624,6 +630,60 @@ TEST_F(OperatorsTest, SerialStarJoinPollsCancellationMidScan) {
     EXPECT_TRUE(e.status().IsCancelled()) << e.status();
   }
   EXPECT_TRUE(unwound);
+}
+
+// Regression: the parallel operators built their morsel site without the
+// query's cancel token, so neither the per-morsel poll nor the
+// merge-shard polls ever ran and a pooled operator kept running past its
+// deadline. Each operator first runs uncancelled on a 4-worker pool to
+// prove it takes the parallel path (morsels > 0), then under a
+// pre-cancelled token, where it must unwind with CancelledException.
+TEST_F(OperatorsTest, PooledOperatorsPollCancellationPerMorsel) {
+  engine::WorkerPool pool(4);
+  auto run = [&](Operator* op, const CancelToken* cancel) {
+    PlanKnobs knobs = Knobs();
+    knobs.threads = 4;
+    knobs.cancel = cancel;
+    ExecContext ctx(&db_, knobs);
+    ctx.set_worker_pool(&pool);
+    Status st = op->Execute(&ctx);
+    EXPECT_TRUE(st.ok()) << op->name() << ": " << st;
+    return st.ok() ? ctx.stats()->operators.back().morsels : 0;
+  };
+  auto expect_unwinds = [&](Operator* op) {
+    EXPECT_GT(run(op, nullptr), 0u) << op->name() << " ran serially";
+    CancelToken cancelled;
+    cancelled.RequestCancel();
+    try {
+      run(op, &cancelled);
+      ADD_FAILURE() << op->name() << " ignored its cancel token";
+    } catch (const CancelledException& e) {
+      EXPECT_TRUE(e.status().IsCancelled())
+          << op->name() << ": " << e.status();
+    }
+  };
+
+  StarJoinOp star(SalesPartJoin());
+  expect_unwinds(&star);
+
+  SelectionSpec sel;
+  sel.input_index = "sales_partkey";
+  sel.predicate = KeyPredicate::All();
+  sel.carry_columns = {"orderdate", "amount"};
+  sel.output = {"result", {"orderdate"}, {}};
+  SelectionOp selection(sel);
+  expect_unwinds(&selection);
+
+  SelectJoinSpec sj;
+  sj.input_index = "sales_partkey";
+  sj.predicate = KeyPredicate::All();
+  sj.left_columns = {"partkey", "amount"};
+  sj.probe_column = "partkey";
+  sj.right = SideRef::Base("part_pk");
+  sj.right_columns = {"brand"};
+  sj.output = {"result", {"brand"}, {}};
+  SelectJoinOp select_join(sj);
+  expect_unwinds(&select_join);
 }
 
 }  // namespace

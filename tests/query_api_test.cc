@@ -290,13 +290,6 @@ TEST_F(QueryApiTest, PreparedQueryCachesPlansPerKnobsAndParams) {
   for (const auto& row : c->rows) {
     EXPECT_EQ(row[1].AsInt(), want[row[0].AsInt()].first);
   }
-
-  // Sessions can execute prepared queries with per-call params.
-  auto session = runner.OpenSession();
-  auto f = session.Execute(*prepared, wide);
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->rows.size(), c->rows.size());
-  EXPECT_EQ(session.queries_run(), 1u);
 }
 
 TEST_F(QueryApiTest, HavingFiltersFinalizedGroups) {
