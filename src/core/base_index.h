@@ -6,9 +6,14 @@
 //   - secondary index:           payload = record identifier (rid) only;
 //     attribute access costs a random read into the row table.
 //   - partially clustered index: payload = rid plus a partial record of
-//     "included" columns, stored packed next to the index. Operators read
-//     join/selection/grouping attributes without touching the base table —
-//     the paper's main lever for sequential-speed selections.
+//     "included" columns, stored packed next to the index in key order:
+//     the i-th record belongs to the i-th index entry, so a key's
+//     duplicates are one contiguous run. Operators read join/selection/
+//     grouping attributes without touching the base table, at sequential
+//     speed — the paper's main lever for fast selections and joins.
+//
+// Every build is one bulk load: the input rows' keys are stable-radix-
+// sorted on their order-preserving bytes, then inserted in key order.
 //
 // Base indexes respect transactional isolation: BuildFromSnapshot indexes
 // the rows visible to an MVCC snapshot.
@@ -43,8 +48,9 @@ class BaseIndex {
     size_t kiss_root_bits = 26;
   };
 
-  // Builds an index over all rows of `table`, keyed on `key_columns`.
-  // Non-empty `included_columns` makes it partially clustered.
+  // Builds an index over all rows of `table`, keyed on `key_columns` (at
+  // most KeyBuf::kCapacity / 8 of them). Non-empty `included_columns`
+  // makes it partially clustered.
   static Result<std::unique_ptr<BaseIndex>> Build(
       const RowTable* table, std::vector<std::string> key_columns,
       std::vector<std::string> included_columns, Options options);
@@ -249,9 +255,16 @@ class BaseIndex {
  private:
   BaseIndex() = default;
 
-  Status Init(const RowTable* table, const std::vector<Rid>* rids,
+  // Bulk-builds over input rows rids[0, n), or rows [0, n) when `rids` is
+  // null.
+  Status Init(const RowTable* table, const Rid* rids, size_t n,
               std::vector<std::string> key_columns,
               std::vector<std::string> included_columns, Options options);
+
+  // The bytes the tree orders `rid`'s key by: the 4-byte big-endian
+  // KissKeyOf key, or the EncodeKey encoding.
+  void KeyOf(Rid rid, KeyBuf* out) const;
+  void InsertKey(const uint8_t* key, uint64_t value);
 
   Kind kind_ = Kind::kPrefix;
   const RowTable* table_ = nullptr;
@@ -262,7 +275,8 @@ class BaseIndex {
   std::vector<size_t> included_cols_;
   std::unique_ptr<KissTree> kiss_;
   std::unique_ptr<PrefixTree> prefix_;
-  // Partial records: heap_width_ slots per entry = [rid, included...].
+  // Partial records in key order: heap_width_ slots per entry =
+  // [rid, included...]; a clustered index's value is the entry ordinal.
   std::vector<uint64_t> heap_;
   size_t heap_width_ = 0;
   // Relaxed atomic: live indexes grow under the database write lock
@@ -293,6 +307,7 @@ class Database {
   Result<const MvccTable*> versioned_table(const std::string& name) const;
 
   // Builds and registers an index named `index_name` over `table_name`.
+  // A versioned table needs BuildLiveIndex instead (InvalidArgument).
   Status BuildIndex(const std::string& index_name,
                     const std::string& table_name,
                     std::vector<std::string> key_columns,

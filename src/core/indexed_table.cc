@@ -76,6 +76,12 @@ Status IndexedTable::Init(Schema schema,
   if (key_columns.empty()) {
     return Status::InvalidArgument("indexed table needs at least one key column");
   }
+  if (key_columns.size() > KeyBuf::kCapacity / 8) {
+    return Status::InvalidArgument(
+        "indexed table takes at most " +
+        std::to_string(KeyBuf::kCapacity / 8) + " key columns, got " +
+        std::to_string(key_columns.size()));
+  }
   for (const auto& name : key_columns) {
     QPPT_ASSIGN_OR_RETURN(size_t idx, schema_.ColumnIndex(name));
     key_cols_.push_back(idx);

@@ -42,8 +42,9 @@ class IndexedTable {
   };
 
   // A plain (non-aggregating) indexed table: tuples of `schema`, indexed on
-  // `key_columns` (each int64/string/double; a single int64-like column
-  // with prefer_kiss selects the KISS-Tree).
+  // `key_columns` (each int64/string/double, at most KeyBuf::kCapacity / 8
+  // of them; a single int64-like column with prefer_kiss selects the
+  // KISS-Tree).
   static Result<std::unique_ptr<IndexedTable>> Create(
       Schema schema, std::vector<std::string> key_columns, Options options);
   static Result<std::unique_ptr<IndexedTable>> Create(

@@ -46,6 +46,24 @@ TEST(IndexedTableTest, UnknownKeyColumnFails) {
   EXPECT_FALSE(IndexedTable::Create(TupleSchema(), {}).ok());
 }
 
+// A key holds KeyBuf::kCapacity / 8 = 4 encoded columns; a fifth would
+// overflow the key buffer on every insert.
+TEST(IndexedTableTest, RejectsMoreKeyColumnsThanAKeyHolds) {
+  Schema wide({{"c0", ValueType::kInt64, nullptr},
+               {"c1", ValueType::kInt64, nullptr},
+               {"c2", ValueType::kDouble, nullptr},
+               {"c3", ValueType::kInt64, nullptr},
+               {"c4", ValueType::kInt64, nullptr}});
+  auto five = IndexedTable::Create(wide, {"c0", "c1", "c2", "c3", "c4"});
+  EXPECT_TRUE(five.status().IsInvalidArgument()) << five.status();
+  auto four = IndexedTable::Create(wide, {"c0", "c1", "c2", "c3"});
+  ASSERT_TRUE(four.ok()) << four.status();
+  uint64_t row[5] = {SlotFromInt64(-1), SlotFromInt64(2), SlotFromDouble(3.5),
+                     SlotFromInt64(4), SlotFromInt64(5)};
+  (*four)->Insert(row);
+  EXPECT_EQ((*four)->num_keys(), 1u);
+}
+
 TEST(IndexedTableTest, InsertAndScanInKeyOrder) {
   auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, SmallKiss());
   ASSERT_TRUE(table.ok());

@@ -379,6 +379,49 @@ TEST_F(QueryApiTest, PreparedPlanCacheIsBounded) {
   EXPECT_EQ(r->rows.size(), Reference(40, 60).size());
 }
 
+// Grouping on more columns than a key holds (4) fails cleanly instead of
+// overflowing the output table's key buffer.
+TEST(QueryApiWideGroupTest, RejectsMoreGroupColumnsThanAKeyHolds) {
+  Database db;
+  Schema schema({{"id", ValueType::kInt64, nullptr},
+                 {"c1", ValueType::kInt64, nullptr},
+                 {"c2", ValueType::kInt64, nullptr},
+                 {"c3", ValueType::kInt64, nullptr},
+                 {"c4", ValueType::kInt64, nullptr},
+                 {"c5", ValueType::kInt64, nullptr}});
+  auto table = std::make_unique<RowTable>(schema, "wide");
+  for (int64_t id = 0; id < 100; ++id) {
+    uint64_t row[6] = {SlotFromInt64(id),     SlotFromInt64(id % 2),
+                       SlotFromInt64(id % 3), SlotFromInt64(id % 5),
+                       SlotFromInt64(id % 7), SlotFromInt64(id)};
+    table->AppendRow(row);
+  }
+  ASSERT_TRUE(db.AddTable(std::move(table)).ok());
+  ASSERT_TRUE(db.BuildIndex("wide_by_id", "wide", {"id"},
+                            {"c1", "c2", "c3", "c4", "c5"})
+                  .ok());
+  auto spec = [](std::vector<std::string> group) {
+    query::QueryBuilder b("test.wide");
+    b.From("wide")
+        .FactIndex("wide_by_id")
+        .FactColumns({"c1", "c2", "c3", "c4", "c5"})
+        .Where(KeyPredicate::Range(0, 99));
+    b.GroupBy(std::move(group)).Aggregate(AggFn::kCount, {}, "n");
+    return std::move(b).Build();
+  };
+
+  engine::EngineConfig cfg;
+  cfg.threads = 1;
+  engine::EngineRunner runner(cfg);
+  auto five = runner.Execute(db, spec({"c1", "c2", "c3", "c4", "c5"}),
+                             PlanKnobs{});
+  EXPECT_TRUE(five.status().IsInvalidArgument()) << five.status();
+  auto four = runner.Execute(db, spec({"c1", "c2", "c3", "c4"}), PlanKnobs{});
+  ASSERT_TRUE(four.ok()) << four.status();
+  // id mod 2, 3, 5, 7 determine id mod 210: every id is its own group.
+  EXPECT_EQ(four->rows.size(), 100u);
+}
+
 TEST_F(QueryApiTest, EngineExecutesSpecsDirectly) {
   engine::EngineConfig cfg;
   cfg.threads = 1;
