@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,6 +82,10 @@ class BaseIndex {
   // the trees while snapshot readers scan concurrently. Live indexes are
   // secondary-only: the partially clustered payload heap reallocates on
   // growth, which would race readers, so included columns are rejected.
+  // Every attribute read of a live index is therefore random: one row
+  // read plus one read of the row's version stamps per value. Star join
+  // and select-join prefetch both a fixed distance ahead (StagingRing,
+  // core/operators/common.h).
   static Result<std::unique_ptr<BaseIndex>> BuildLive(
       const MvccTable* table, std::vector<std::string> key_columns,
       Options options);
@@ -161,6 +166,34 @@ class BaseIndex {
     return static_cast<uint32_t>(Int64FromSlot(slot));
   }
 
+  // The KISS keys a range predicate lo <= v <= hi selects, under the same
+  // modulo-2^32 rule KissKeyOf applies to equality: the keys
+  // {v mod 2^32 : lo <= v <= hi}. That is no range when lo > hi, one
+  // range, or two when the interval wraps (lo < 0 <= hi, say):
+  // [lo mod 2^32, 2^32 - 1], then [0, hi mod 2^32] — ranges listed in
+  // ascending order of the values v they stand for. A span of 2^32 or
+  // more values covers every key, listed from lo mod 2^32 upwards:
+  // [l, 2^32 - 1], then [0, l - 1] when l = lo mod 2^32 is not 0. Ranges
+  // that do not wrap are exactly [KissKeyOf(lo), KissKeyOf(hi)].
+  struct KissRanges {
+    uint32_t lo[2] = {};
+    uint32_t hi[2] = {};
+    size_t count = 0;
+  };
+  static KissRanges KissRangesOf(int64_t lo, int64_t hi) {
+    constexpr uint32_t kMaxKey = std::numeric_limits<uint32_t>::max();
+    if (lo > hi) return {};
+    auto l = static_cast<uint32_t>(lo);
+    auto h = static_cast<uint32_t>(hi);
+    // hi >= lo, so the unsigned difference is the exact span minus one.
+    if (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) >= kMaxKey) {
+      if (l == 0) return {{0}, {kMaxKey}, 1};
+      return {{l, 0}, {kMaxKey, l - 1}, 2};
+    }
+    if (l <= h) return {{l}, {h}, 1};
+    return {{l, 0}, {kMaxKey, h}, 2};
+  }
+
   // --- scans ----------------------------------------------------------------------
   //
   // F: void(uint64_t value). Single-key-column convenience paths; operators
@@ -218,10 +251,14 @@ class BaseIndex {
   template <typename F>
   void ForEachInRange(uint64_t lo_slot, uint64_t hi_slot, F&& fn) const {
     if (kind_ == Kind::kKiss) {
-      kiss_->ScanRange(KissKeyOf(lo_slot), KissKeyOf(hi_slot),
-                       [&](uint32_t, const KissTree::ValueRef& vals) {
-                         vals.ForEach(fn);
-                       });
+      KissRanges ranges =
+          KissRangesOf(Int64FromSlot(lo_slot), Int64FromSlot(hi_slot));
+      for (size_t i = 0; i < ranges.count; ++i) {
+        kiss_->ScanRange(ranges.lo[i], ranges.hi[i],
+                         [&](uint32_t, const KissTree::ValueRef& vals) {
+                           vals.ForEach(fn);
+                         });
+      }
     } else {
       KeyBuf lo, hi;
       EncodeKey(&lo_slot, &lo);

@@ -17,6 +17,7 @@ Result<BoundSide> BoundSide::Bind(const ExecContext& ctx, const SideRef& ref,
       side.read_ts_ = ctx.read_ts();
     }
     const Schema& schema = side.base_->table().schema();
+    side.record_width_ = schema.num_columns();
     for (const auto& col : columns) {
       QPPT_ASSIGN_OR_RETURN(auto acc, side.base_->BindColumn(col));
       side.base_accessors_.push_back(acc);

@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/base_index.h"
 #include "core/indexed_table.h"
 #include "core/plan.h"
+#include "util/prefetch.h"
 #include "util/status.h"
 
 namespace qppt {
@@ -71,6 +73,27 @@ class BoundSide {
     return is_base() ? base_->num_rows() : inter_->num_tuples();
   }
 
+  // True when resolving a value of this side reads scattered memory: the
+  // side is a live index, whose values are rids, so every value costs a
+  // random read of its version stamps and of its row. Star join and
+  // select-join route such a side's values through a StagingRing; every
+  // other side resolves each value directly.
+  bool staged() const { return mvcc_ != nullptr; }
+
+  // Prefetches what Visible/Fill (and residuals) will read for `value`:
+  // the row's version stamps and its first and last slot (a record can
+  // span two cache lines). Only addresses are formed (acquire reads of
+  // the chunk directories), never the data, so a prefetch cannot race
+  // the single writer. No-op for unstaged sides.
+  void Prefetch(uint64_t value) const {
+    if (mvcc_ == nullptr) return;
+    Rid rid = base_->RidOf(value);
+    mvcc_->PrefetchStamps(rid);
+    const uint64_t* record = base_->table().Record(rid);
+    PrefetchRead(record);
+    PrefetchRead(record + (record_width_ - 1));
+  }
+
   // True if the row behind index value `value` is visible at the query
   // snapshot. Always true for non-versioned inputs (plain base indexes
   // and intermediates) — one well-predicted branch on the hot path. Live
@@ -86,6 +109,7 @@ class BoundSide {
   const IndexedTable* inter_ = nullptr;
   const MvccTable* mvcc_ = nullptr;  // non-null iff bound to a live index
   Timestamp read_ts_ = 0;
+  size_t record_width_ = 0;  // row-table slots per record (base sides)
   std::vector<BaseIndex::Accessor> base_accessors_;
   std::vector<size_t> inter_positions_;
   std::vector<ColumnDef> defs_;
@@ -174,6 +198,61 @@ struct BoundResidual {
 
 Result<std::vector<BoundResidual>> BindResiduals(
     const BaseIndex& index, const std::vector<Residual>& residuals);
+
+// ---- staged value resolution -------------------------------------------------
+
+// Prefetch distance of a StagingRing, in values: each value is resolved
+// this many values after its reads were prefetched. Sized on the SSB
+// flight over a versioned lineorder (SF 0.3, 4 threads, 4-vCPU Xeon):
+// depth 8 hid fewer misses, and 32 or 64 gained nothing over 16.
+inline constexpr size_t kStagingDepth = 16;
+
+// Group prefetching for the random row and version-stamp reads behind
+// live-index values (§2.3 batching, applied past the tree probe). An
+// operator prefetches a value's reads (BoundSide::Prefetch), then
+// Exchange()s it; once the ring is full it hands back, for resolution,
+// the value staged kStagingDepth arrivals earlier, whose lines have
+// arrived by then. Values leave in arrival order, so the output matches
+// direct resolution row for row. T is what one arrival stages: a
+// (left, right) pair in the star join, one value in the select-join.
+// Each worker pipeline owns one ring, drained (Pop) at the end of every
+// morsel and, serially, before CandidatePipeline::Finish. The ring holds
+// values only and never allocates. Operators stage only when a bound
+// side is staged() (a live index): clustered and intermediate inputs
+// read sequentially, and staging every base side (prefetching rows a
+// clustered side never reads) cost the SSB flight over partially
+// clustered indexes 38% of its queries per second.
+template <typename T>
+class alignas(64) StagingRing {  // per-worker rings never share a line
+ public:
+  // Stages *v. While the ring fills, returns false: nothing to resolve.
+  // Once full, swaps *v for the oldest staged value and returns true:
+  // resolve *v now.
+  bool Exchange(T* v) {
+    T& slot = slots_[next_];
+    next_ = (next_ + 1) % kStagingDepth;
+    if (size_ < kStagingDepth) {
+      slot = *v;
+      ++size_;
+      return false;
+    }
+    std::swap(slot, *v);
+    return true;
+  }
+
+  // Moves the oldest staged value into *out; false once the ring is empty.
+  bool Pop(T* out) {
+    if (size_ == 0) return false;
+    *out = slots_[(next_ + kStagingDepth - size_) % kStagingDepth];
+    --size_;
+    return true;
+  }
+
+ private:
+  T slots_[kStagingDepth] = {};
+  size_t next_ = 0;  // where the next value is staged
+  size_t size_ = 0;
+};
 
 // Describes the output of an operator: slot name, key columns, and
 // (optionally) aggregation. Without aggregation the output table carries

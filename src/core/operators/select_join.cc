@@ -54,6 +54,37 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
 
   stats.input_tuples = index->num_rows();
 
+  // Resolves one selected value: snapshot filter, residuals, then one
+  // candidate row into the probe pipeline.
+  auto resolve = [&](CandidatePipeline* pipeline, uint64_t value) {
+    if (!left.Visible(value)) return;  // MVCC snapshot filter
+    for (const auto& r : residuals) {
+      if (!r.Eval(value)) return;
+    }
+    uint64_t* row = pipeline->AddRow();
+    left.Fill(value, row);
+    pipeline->MaybeProcess();
+  };
+  // A value is resolved at once, or — when the selection side's reads
+  // are random — prefetched now and resolved kStagingDepth values later
+  // (StagingRing). `staged` is fixed per operator, so the branch is
+  // always predicted; instantiating each scan once per path instead made
+  // GCC stop inlining the serial loop's cancel tick. drain() runs at the
+  // end of every morsel and, serially, before Finish().
+  const bool staged = left.staged();
+  auto emit = [&](CandidatePipeline* pipeline, StagingRing<uint64_t>* ring,
+                  uint64_t value) {
+    if (staged) {
+      left.Prefetch(value);
+      if (!ring->Exchange(&value)) return;
+    }
+    resolve(pipeline, value);
+  };
+  auto drain = [&](CandidatePipeline* pipeline, StagingRing<uint64_t>* ring) {
+    uint64_t value = 0;
+    while (ring->Pop(&value)) resolve(pipeline, value);
+  };
+
   // Parallel path: the selection scan runs over a KISS-indexed range/all
   // predicate, so it partitions into disjoint key-range morsels; each
   // worker streams its qualifiers through a private probe pipeline into a
@@ -67,12 +98,11 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
       index->num_rows() >= engine::kMinParallelInputTuples;
 
   if (parallel) {
-    uint32_t lo = 0;
-    uint32_t hi = std::numeric_limits<uint32_t>::max();
-    if (spec_.predicate.kind == KeyPredicate::Kind::kRange) {
-      lo = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.lo));
-      hi = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.hi));
-    }
+    BaseIndex::KissRanges ranges =
+        spec_.predicate.kind == KeyPredicate::Kind::kRange
+            ? BaseIndex::KissRangesOf(spec_.predicate.lo, spec_.predicate.hi)
+            : BaseIndex::KissRangesOf(std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max());
     size_t workers = pool->num_workers();
     engine::PartialOutputs partials(*output, workers);
     std::vector<std::unique_ptr<CandidatePipeline>> pipelines;
@@ -82,22 +112,20 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
           assists, width, partials.worker(w), key_positions,
           ctx->knobs().join_buffer_size));
     }
+    std::vector<StagingRing<uint64_t>> rings(workers);
     const std::string label = display_name();
     engine::MorselSite site{.pool = pool,
                             .trace = ctx->trace(),
                             .label = label,
                             .cancel = ctx->cancel()};
-    stats.morsels = engine::RunKissValueMorsels(
-        site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
-          if (!left.Visible(value)) return;  // MVCC snapshot filter
-          for (const auto& r : residuals) {
-            if (!r.Eval(value)) return;
-          }
-          CandidatePipeline* pipeline = pipelines[w].get();
-          uint64_t* row = pipeline->AddRow();
-          left.Fill(value, row);
-          pipeline->MaybeProcess();
-        });
+    for (size_t i = 0; i < ranges.count; ++i) {
+      stats.morsels += engine::RunKissValueMorsels(
+          site, *kiss, ranges.lo[i], ranges.hi[i],
+          [&](size_t w, uint64_t value) {
+            emit(pipelines[w].get(), &rings[w], value);
+          },
+          [&](size_t w) { drain(pipelines[w].get(), &rings[w]); });
+    }
     // Per-phase times overlap across workers; report the slowest worker
     // (the critical path), which stays comparable to total_ms.
     for (size_t w = 0; w < workers; ++w) {
@@ -113,39 +141,35 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
     CandidatePipeline pipeline(std::move(assists), width, output.get(),
                                std::move(key_positions),
                                ctx->knobs().join_buffer_size);
+    StagingRing<uint64_t> ring;
 
     // Selection scan: qualifying tuples stream straight into the probe
     // pipeline — no intermediate index is ever materialized (§4.3).
     // Serial loops poll the cancel token every kCancelStride tuples.
     CancelTicker cancel(ctx->cancel());
-    auto emit = [&](uint64_t value) {
+    auto scan_emit = [&](uint64_t value) {
       cancel.Tick();
-      if (!left.Visible(value)) return;  // MVCC snapshot filter
-      for (const auto& r : residuals) {
-        if (!r.Eval(value)) return;
-      }
-      uint64_t* row = pipeline.AddRow();
-      left.Fill(value, row);
-      pipeline.MaybeProcess();
+      emit(&pipeline, &ring, value);
     };
 
     switch (spec_.predicate.kind) {
       case KeyPredicate::Kind::kPoint:
-        index->ForEachMatch(SlotFromInt64(spec_.predicate.point), emit);
+        index->ForEachMatch(SlotFromInt64(spec_.predicate.point), scan_emit);
         break;
       case KeyPredicate::Kind::kRange:
         index->ForEachInRange(SlotFromInt64(spec_.predicate.lo),
-                              SlotFromInt64(spec_.predicate.hi), emit);
+                              SlotFromInt64(spec_.predicate.hi), scan_emit);
         break;
       case KeyPredicate::Kind::kIn:
         for (int64_t point : spec_.predicate.in_points) {
-          index->ForEachMatch(SlotFromInt64(point), emit);
+          index->ForEachMatch(SlotFromInt64(point), scan_emit);
         }
         break;
       case KeyPredicate::Kind::kAll:
-        index->ForEachValue(emit);
+        index->ForEachValue(scan_emit);
         break;
     }
+    drain(&pipeline, &ring);
     pipeline.Finish();
     stats.materialize_ms = pipeline.materialize_ms();
     stats.index_ms = pipeline.index_ms();

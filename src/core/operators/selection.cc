@@ -71,12 +71,11 @@ Status SelectionOp::Execute(ExecContext* ctx) {
 
   Timer phase;
   if (parallel) {
-    uint32_t lo = 0;
-    uint32_t hi = std::numeric_limits<uint32_t>::max();
-    if (spec_.predicate.kind == KeyPredicate::Kind::kRange) {
-      lo = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.lo));
-      hi = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.hi));
-    }
+    BaseIndex::KissRanges ranges =
+        spec_.predicate.kind == KeyPredicate::Kind::kRange
+            ? BaseIndex::KissRangesOf(spec_.predicate.lo, spec_.predicate.hi)
+            : BaseIndex::KissRangesOf(std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max());
     size_t workers = pool->num_workers();
     engine::PartialOutputs partials(*output, workers);
     std::vector<std::vector<uint64_t>> rows(workers,
@@ -89,11 +88,15 @@ Status SelectionOp::Execute(ExecContext* ctx) {
                             .trace = ctx->trace(),
                             .label = label,
                             .cancel = ctx->cancel()};
-    stats.morsels = engine::RunKissValueMorsels(
-        site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
-          process(value, rows[w].data(), keys[w].data(),
-                  partials.worker(w));
-        });
+    for (size_t i = 0; i < ranges.count; ++i) {
+      stats.morsels += engine::RunKissValueMorsels(
+          site, *kiss, ranges.lo[i], ranges.hi[i],
+          [&](size_t w, uint64_t value) {
+            process(value, rows[w].data(), keys[w].data(),
+                    partials.worker(w));
+          },
+          [](size_t) {});
+    }
     Timer merge;
     stats.merge_morsels = partials.MergeInto(site, output.get());
     stats.merge_ms = merge.ElapsedMs();

@@ -18,6 +18,12 @@ namespace {
 // the §2.3 prefetch pipeline busy, small enough for stack staging.
 constexpr size_t kMixedProbeBatch = 64;
 
+// One matched (left, right) index value pair, as staged.
+struct ValuePair {
+  uint64_t left;
+  uint64_t right;
+};
+
 }  // namespace
 
 Status StarJoinOp::Execute(ExecContext* ctx) {
@@ -63,16 +69,39 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   CancelTicker serial_cancel(ctx->cancel());
   CancelTicker* serial_ticker = nullptr;
 
-  // Cross-product emission shared by all scan branches (nested-loop over
-  // the duplicate lists of one matched key, §4.2).
-  auto emit_pair = [&](CandidatePipeline* pipeline, uint64_t l, uint64_t r) {
-    if (serial_ticker != nullptr) serial_ticker->Tick();
+  // Resolves one matched pair into an assembled candidate row.
+  auto resolve_pair = [&](CandidatePipeline* pipeline, const ValuePair& p) {
     // MVCC snapshot filter: no-op branches for non-versioned sides.
-    if (!left.Visible(l) || !right.Visible(r)) return;
+    if (!left.Visible(p.left) || !right.Visible(p.right)) return;
     uint64_t* row = pipeline->AddRow();
-    left.Fill(l, row);
-    right.Fill(r, row + left_width);
+    left.Fill(p.left, row);
+    right.Fill(p.right, row + left_width);
     pipeline->MaybeProcess();
+  };
+
+  // Cross-product emission shared by all scan branches (nested-loop over
+  // the duplicate lists of one matched key, §4.2). A pair is resolved at
+  // once, or — when either side's reads are random — prefetched now and
+  // resolved kStagingDepth pairs later (StagingRing). `staged` is fixed
+  // per operator, so the branch is always predicted; instantiating each
+  // scan once per path instead made GCC stop inlining Fill and Visible.
+  const bool staged = left.staged() || right.staged();
+  auto emit_pair = [&](CandidatePipeline* pipeline,
+                       StagingRing<ValuePair>* ring, uint64_t l, uint64_t r) {
+    if (serial_ticker != nullptr) serial_ticker->Tick();
+    ValuePair pair{l, r};
+    if (staged) {
+      left.Prefetch(l);
+      right.Prefetch(r);
+      if (!ring->Exchange(&pair)) return;
+    }
+    resolve_pair(pipeline, pair);
+  };
+  // Resolves a worker's staged pairs: at the end of every morsel (so the
+  // morsel's span covers its work) and, serially, before Finish().
+  auto drain = [&](CandidatePipeline* pipeline, StagingRing<ValuePair>* ring) {
+    ValuePair pair{};
+    while (ring->Pop(&pair)) resolve_pair(pipeline, pair);
   };
 
   engine::WorkerPool* pool = ctx->worker_pool();
@@ -90,10 +119,11 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   };
   const bool parallel = worth_forking(left.num_input_tuples());
 
-  // Shared driver of every parallel branch: per-worker pipelines feeding
-  // per-worker partial outputs, one morsel batch (`scan` returns the
-  // morsel count), then the key-range-partitioned merge — whose wall
-  // time is reported separately so the merge bottleneck stays visible.
+  // Shared driver of every parallel branch: per-worker pipelines (each
+  // behind its own ring) feeding per-worker partial outputs, one morsel
+  // batch (`scan` returns the morsel count; each morsel drains its ring),
+  // then the key-range-partitioned merge — whose wall time is reported
+  // separately so the merge bottleneck stays visible.
   auto run_parallel = [&](auto&& scan) {
     size_t workers = pool->num_workers();
     engine::PartialOutputs partials(*output, workers);
@@ -104,7 +134,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
           assists, width, partials.worker(w), key_positions,
           ctx->knobs().join_buffer_size));
     }
-    stats.morsels = scan(pipelines);
+    std::vector<StagingRing<ValuePair>> rings(workers);
+    stats.morsels = scan(pipelines, rings);
     // Per-phase times overlap across workers; report the slowest worker
     // (the critical path), which stays comparable to total_ms.
     for (size_t w = 0; w < workers; ++w) {
@@ -122,7 +153,9 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     serial_ticker = &serial_cancel;
     CandidatePipeline pipeline(assists, width, output.get(), key_positions,
                                ctx->knobs().join_buffer_size);
-    scan(&pipeline);
+    StagingRing<ValuePair> ring;
+    scan(&pipeline, &ring);
+    drain(&pipeline, &ring);
     pipeline.Finish();
     stats.materialize_ms = pipeline.materialize_ms();
     stats.index_ms = pipeline.index_ms();
@@ -134,14 +167,15 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // pair morsels (§7: deterministic key positions, no rebalancing).
     const PrefixTree& lp = *left.prefix();
     const PrefixTree& rp = *right.prefix();
-    auto emit_lists = [&](CandidatePipeline* pipeline, const ValueList* lv,
+    auto emit_lists = [&](CandidatePipeline* pipeline,
+                          StagingRing<ValuePair>* ring, const ValueList* lv,
                           const ValueList* rv) {
       lv->ForEach([&](uint64_t l) {
-        rv->ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
+        rv->ForEach([&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
       });
     };
     if (parallel) {
-      run_parallel([&](auto& pipelines) {
+      run_parallel([&](auto& pipelines, auto& rings) {
         return engine::RunPrefixPairMorsels(
             site, lp, rp,
             [&](size_t w, const PairScanLevel& level, size_t begin,
@@ -151,16 +185,18 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
                   lp, rp, level, begin, end,
                   [&](const uint8_t*, const ValueList* lv,
                       const ValueList* rv) {
-                    emit_lists(pipeline, lv, rv);
+                    emit_lists(pipeline, &rings[w], lv, rv);
                   });
+              drain(pipeline, &rings[w]);
             });
       });
     } else {
-      run_serial([&](CandidatePipeline* pipeline) {
+      run_serial([&](CandidatePipeline* pipeline,
+                     StagingRing<ValuePair>* ring) {
         SynchronousScan(lp, rp,
                         [&](const uint8_t*, const ValueList* lv,
                             const ValueList* rv) {
-                          emit_lists(pipeline, lv, rv);
+                          emit_lists(pipeline, ring, lv, rv);
                         });
       });
     }
@@ -176,7 +212,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
       // at the end.
       uint32_t lo = std::max(lk.min_key(), rk.min_key());
       uint32_t hi = std::min(lk.max_key(), rk.max_key());
-      run_parallel([&](auto& pipelines) {
+      run_parallel([&](auto& pipelines, auto& rings) {
         return engine::RunKissRangeMorsels(
             site, lk, lo, hi, [&](size_t w, uint32_t mlo, uint32_t mhi) {
               CandidatePipeline* pipeline = pipelines[w].get();
@@ -185,20 +221,23 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
                   [&](uint32_t, const KissTree::ValueRef& lv,
                       const KissTree::ValueRef& rv) {
                     lv.ForEach([&](uint64_t l) {
-                      rv.ForEach(
-                          [&](uint64_t r) { emit_pair(pipeline, l, r); });
+                      rv.ForEach([&](uint64_t r) {
+                        emit_pair(pipeline, &rings[w], l, r);
+                      });
                     });
                   });
+              drain(pipeline, &rings[w]);
             });
       });
     } else {
-      run_serial([&](CandidatePipeline* pipeline) {
+      run_serial([&](CandidatePipeline* pipeline,
+                     StagingRing<ValuePair>* ring) {
         SynchronousScan(lk, rk,
                         [&](uint32_t, const KissTree::ValueRef& lv,
                             const KissTree::ValueRef& rv) {
                           lv.ForEach([&](uint64_t l) {
                             rv.ForEach([&](uint64_t r) {
-                              emit_pair(pipeline, l, r);
+                              emit_pair(pipeline, ring, l, r);
                             });
                           });
                         });
@@ -226,7 +265,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // Drives one scan of (part of) the prefix side: `enumerate(sink)`
     // calls sink(key, values) per content node; probes are staged and
     // flushed through BatchLookup in kMixedProbeBatch groups.
-    auto scan_mixed = [&](CandidatePipeline* pipeline, auto&& enumerate) {
+    auto scan_mixed = [&](CandidatePipeline* pipeline,
+                          StagingRing<ValuePair>* ring, auto&& enumerate) {
       KissTree::LookupJob jobs[kMixedProbeBatch];
       const ValueList* prefix_vals[kMixedProbeBatch];
       size_t n = 0;
@@ -239,11 +279,13 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
           const KissTree::ValueRef& kv = jobs[i].values;
           if (left_is_kiss) {
             kv.ForEach([&](uint64_t l) {
-              pv->ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
+              pv->ForEach(
+                  [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
             });
           } else {
             pv->ForEach([&](uint64_t l) {
-              kv.ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
+              kv.ForEach(
+                  [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
             });
           }
         }
@@ -263,22 +305,25 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // (and their emit work) across morsels.
     if (worth_forking(std::max(left.num_input_tuples(),
                                right.num_input_tuples()))) {
-      run_parallel([&](auto& pipelines) {
+      run_parallel([&](auto& pipelines, auto& rings) {
         return engine::RunPrefixPairMorsels(
             site, ptree, ptree,  // self-pair: every populated subtree
             [&](size_t w, const PairScanLevel& level, size_t begin,
                 size_t end) {
-              scan_mixed(pipelines[w].get(), [&](auto&& sink) {
+              CandidatePipeline* pipeline = pipelines[w].get();
+              scan_mixed(pipeline, &rings[w], [&](auto&& sink) {
                 SynchronousScanPairSlots(
                     ptree, ptree, level, begin, end,
                     [&](const uint8_t* key, const ValueList* vals,
                         const ValueList*) { sink(key, vals); });
               });
+              drain(pipeline, &rings[w]);
             });
       });
     } else {
-      run_serial([&](CandidatePipeline* pipeline) {
-        scan_mixed(pipeline, [&](auto&& sink) {
+      run_serial([&](CandidatePipeline* pipeline,
+                     StagingRing<ValuePair>* ring) {
+        scan_mixed(pipeline, ring, [&](auto&& sink) {
           ptree.ScanAll([&](const PrefixTree::ContentNode& c) {
             sink(c.key(), ptree.ValuesOf(&c));
           });

@@ -193,15 +193,17 @@ size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
 inline constexpr size_t kMinSliceValues = 1024;
 
 // Runs process(worker, value) for every value stored under tree ∩
-// [lo, hi]. Prefers disjoint key-range morsels; when the populated span
-// has too few root buckets to feed the workers (a low-cardinality
-// selection attribute — e.g. eleven discount values, each with a
-// million-entry duplicate list), it gathers the qualifying values once
-// and morsels over slices of the gathered vector instead. Returns the
-// morsel count (0 = nothing qualified).
-template <typename ProcessFn>
+// [lo, hi], and end_morsel(worker) after each morsel's last value.
+// Prefers disjoint key-range morsels; when the populated span has too
+// few root buckets to feed the workers (a low-cardinality selection
+// attribute — e.g. eleven discount values, each with a million-entry
+// duplicate list), it gathers the qualifying values once and morsels
+// over slices of the gathered vector instead. Returns the morsel count
+// (0 = nothing qualified).
+template <typename ProcessFn, typename EndMorselFn>
 size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
-                           uint32_t lo, uint32_t hi, ProcessFn&& process) {
+                           uint32_t lo, uint32_t hi, ProcessFn&& process,
+                           EndMorselFn&& end_morsel) {
   WorkerPool* pool = site.pool;
   const size_t target = pool->morsel_target();
   auto ranges = PartitionKissRange(tree, lo, hi, target);
@@ -212,6 +214,7 @@ size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
                      [&](uint32_t, const KissTree::ValueRef& vals) {
                        vals.ForEach([&](uint64_t v) { process(worker, v); });
                      });
+      end_morsel(worker);
     });
     return ranges.size();
   }
@@ -228,6 +231,7 @@ size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
     for (size_t i = slices[m].first; i < slices[m].second; ++i) {
       process(worker, values[i]);
     }
+    end_morsel(worker);
   });
   return slices.size();
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -166,27 +167,46 @@ void AnswerKissPoints(const IndexedTable& table,
   ++*shared_scans;
 }
 
-// Answers a batch of range requests with one pass over the union span;
-// each visited key is routed to every request whose range contains it.
+// Answers a batch of range requests with one pass over the union span
+// of their KISS key ranges (BaseIndex::KissRangesOf); each visited key is
+// routed to every request whose key range holds it. Requests whose
+// ranges wrap have two key ranges; a first pass serves their first
+// parts (the values from lo up to the wrap), so every answer stays in
+// ascending order.
 void AnswerKissRanges(const IndexedTable& table,
                       const std::vector<Request*>& ranges,
                       uint64_t* shared_scans) {
   const KissTree& data = *table.kiss();
-  int64_t lo = ranges[0]->lo;
-  int64_t hi = ranges[0]->hi;
-  for (const Request* r : ranges) {
-    lo = std::min(lo, r->lo);
-    hi = std::max(hi, r->hi);
+  // One request's key range in the current pass.
+  struct Span {
+    uint32_t lo;
+    uint32_t hi;
+    Request* request;
+  };
+  std::vector<Span> spans;
+  spans.reserve(ranges.size());
+  // Pass 0 scans the first key range of every wrapping request, pass 1
+  // the last key range of every request.
+  for (size_t pass = 0; pass < 2; ++pass) {
+    spans.clear();
+    uint32_t lo = std::numeric_limits<uint32_t>::max();
+    uint32_t hi = 0;
+    for (Request* r : ranges) {
+      BaseIndex::KissRanges k = BaseIndex::KissRangesOf(r->lo, r->hi);
+      if (k.count == 0 || (pass == 0 && k.count == 1)) continue;
+      size_t part = pass == 0 ? 0 : k.count - 1;
+      spans.push_back({k.lo[part], k.hi[part], r});
+      lo = std::min(lo, k.lo[part]);
+      hi = std::max(hi, k.hi[part]);
+    }
+    if (spans.empty()) continue;
+    data.ScanRange(lo, hi, [&](uint32_t key, const KissTree::ValueRef& ids) {
+      for (const Span& s : spans) {
+        if (key < s.lo || key > s.hi) continue;
+        ids.ForEach([&](uint64_t id) { s.request->out.push_back(id); });
+      }
+    });
   }
-  data.ScanRange(IndexedTable::KissKeyOf(SlotFromInt64(lo)),
-                 IndexedTable::KissKeyOf(SlotFromInt64(hi)),
-                 [&](uint32_t key, const KissTree::ValueRef& ids) {
-                   int64_t k = static_cast<int64_t>(key);
-                   for (Request* r : ranges) {
-                     if (k < r->lo || k > r->hi) continue;
-                     ids.ForEach([&](uint64_t id) { r->out.push_back(id); });
-                   }
-                 });
   ++*shared_scans;
 }
 

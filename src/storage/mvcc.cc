@@ -11,7 +11,6 @@ MvccTable::LogicalId MvccTable::Insert(const Transaction& txn,
   LogicalId id = heads_.size();
   Version& v = versions_.EmplaceBack();
   v.writer_txn = txn.id;
-  v.rid = rid;
   v.logical = id;
   // versions_ and storage_ grow in lockstep: version index == rid.
   heads_.EmplaceBack(rid);
@@ -60,7 +59,6 @@ Status MvccTable::Update(Transaction& txn, LogicalId id,
   Rid rid = storage_.AppendRow(row);
   Version& v = versions_.EmplaceBack();
   v.writer_txn = txn.id;
-  v.rid = rid;
   v.logical = id;
   // relaxed: both stores are made visible by the head release store below.
   v.older.store(head, std::memory_order_relaxed);
@@ -128,7 +126,7 @@ std::optional<Rid> MvccTable::Read(const Transaction& txn,
         if (v.ender_txn.load(std::memory_order_relaxed) == txn.id) {
           return std::nullopt;
         }
-        return v.rid;
+        return Rid{idx};
       }
       idx = v.older.load(std::memory_order_acquire);
       continue;
@@ -143,7 +141,7 @@ std::optional<Rid> MvccTable::Read(const Transaction& txn,
           (end <= txn.read_ts) ||
           (ender != 0 && ender == txn.id && end == kTsInfinity);
       if (ended_for_us) return std::nullopt;  // deleted/overwritten
-      return v.rid;
+      return Rid{idx};
     }
     idx = v.older.load(std::memory_order_acquire);
   }

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "storage/row_table.h"
+#include "util/prefetch.h"
 #include "util/stable_vector.h"
 #include "util/status.h"
 
@@ -156,6 +157,12 @@ class MvccTable {
     return v.end_ts.load(std::memory_order_acquire) > ts;
   }
 
+  // Prefetches the version stamps RidVisibleAt(rid, ...) reads. Only the
+  // address is computed (an acquire read of the chunk directory, as in
+  // RidVisibleAt), so no stamp is read early. begin_ts and end_ts share
+  // one cache line: versions are 48 B and chunk bases 16 B-aligned.
+  void PrefetchStamps(Rid rid) const { PrefetchRead(&versions_[rid]); }
+
   // Invokes fn(Rid) for each new physical row `txn` created (inserts and
   // update-successors). Used to publish pending rows into live indexes
   // before commit stamps them visible. Must run before CommitTransaction
@@ -165,7 +172,7 @@ class MvccTable {
     auto it = write_sets_.find(txn.id);
     if (it == write_sets_.end()) return;
     for (const WriteOp& op : it->second) {
-      if (op.created != kInvalidVersion) fn(versions_[op.created].rid);
+      if (op.created != kInvalidVersion) fn(Rid{op.created});
     }
   }
 
@@ -221,7 +228,7 @@ class MvccTable {
            v != kInvalidVersion;
            v = versions_[v].older.load(std::memory_order_acquire)) {
         const Version& ver = versions_[v];
-        fn(VersionView{id, ver.rid,
+        fn(VersionView{id, Rid{v},
                        ver.begin_ts.load(std::memory_order_acquire),
                        ver.end_ts.load(std::memory_order_acquire), newest});
         newest = false;
@@ -236,9 +243,10 @@ class MvccTable {
     uint64_t writer_txn = 0;  // txn that created this version (pre-publish)
     std::atomic<uint64_t> ender_txn{0};  // in-flight txn that set end_ts
     std::atomic<uint64_t> older{kInvalidVersion};  // next-older version idx
-    Rid rid = 0;              // physical row in storage_ (== version index)
     LogicalId logical = 0;
+    // No rid field: a version's index in versions_ is its physical rid.
   };
+  static_assert(sizeof(Version) == 48);
 
   // One mutation by a transaction: the version it created (insert/update)
   // and/or the prior head it terminated (update/delete).

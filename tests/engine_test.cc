@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -712,6 +714,112 @@ TEST_F(SessionReadTest, ReleaseReadsEvictsBatcherAndLaterReadsStillWork) {
   auto rs = runner.read_stats();
   EXPECT_EQ(rs.reads, 2u);
   EXPECT_EQ(rs.batched_keys, 2u);
+}
+
+// KISS range reads over negative keys: a KISS key is the low 32 bits of
+// the int64, so [-5, 3] covers two key ranges. RangeRead must return the
+// rows a prefix table returns, in ascending key order — alone and when
+// wrapping and non-wrapping requests share one batched scan.
+TEST(SessionNegativeRangeTest, KissRangeReadsMatchPrefix) {
+  Schema schema({{"k", ValueType::kInt64, nullptr},
+                 {"v", ValueType::kInt64, nullptr}});
+  auto make = [&](bool prefer_kiss) {
+    IndexedTable::Options opt;
+    opt.prefer_kiss = prefer_kiss;
+    opt.kiss_root_bits = 20;
+    auto table = IndexedTable::Create(schema, {"k"}, opt);
+    EXPECT_TRUE(table.ok());
+    for (int64_t k = -100; k <= 100; ++k) {
+      for (int64_t d = 0; d < 2; ++d) {
+        uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(k * 10 + d)};
+        (*table)->Insert(row);
+      }
+    }
+    return std::move(table).value();
+  };
+  auto kiss = make(true);
+  auto prefix = make(false);
+  ASSERT_EQ(kiss->kind(), IndexedTable::Kind::kKiss);
+  ASSERT_EQ(prefix->kind(), IndexedTable::Kind::kPrefix);
+
+  // (k, v) pairs in returned order.
+  auto keys_of = [](const IndexedTable& t, const std::vector<uint64_t>& ids) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (uint64_t id : ids) {
+      out.emplace_back(Int64FromSlot(t.Tuple(id)[0]),
+                       Int64FromSlot(t.Tuple(id)[1]));
+    }
+    return out;
+  };
+  auto sorted = [](std::vector<std::pair<int64_t, int64_t>> rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  // The last range spans 2^32 values: it covers every KISS key.
+  const std::vector<std::pair<int64_t, int64_t>> ranges{
+      {-5, -1},
+      {-5, 3},
+      {0, 3},
+      {3, -5},
+      {-100, 100},
+      {std::numeric_limits<int32_t>::min(),
+       std::numeric_limits<int32_t>::max()}};
+  std::vector<size_t> want_rows{10, 18, 8, 0, 402, 402};
+
+  engine::EngineRunner serial(engine::EngineConfig{.threads = 1});
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    auto [lo, hi] = ranges[i];
+    auto from_kiss = serial.RangeRead(*kiss, lo, hi);
+    auto from_prefix = serial.RangeRead(*prefix, lo, hi);
+    ASSERT_TRUE(from_kiss.ok() && from_prefix.ok());
+    auto k_rows = keys_of(*kiss, *from_kiss);
+    auto p_rows = keys_of(*prefix, *from_prefix);
+    EXPECT_EQ(p_rows.size(), want_rows[i]) << lo << ".." << hi;
+    EXPECT_EQ(sorted(k_rows), sorted(p_rows)) << lo << ".." << hi;
+    for (size_t r = 1; r < k_rows.size(); ++r) {
+      EXPECT_LE(k_rows[r - 1].first, k_rows[r].first)
+          << "KISS range read not ascending over " << lo << ".." << hi;
+    }
+  }
+  auto point = serial.PointRead(*kiss, -5);
+  ASSERT_TRUE(point.ok());
+  EXPECT_EQ(point->size(), 2u);
+
+  // One client per range, released together into a wide batch window:
+  // the leader answers wrapping and plain ranges in one shared scan.
+  engine::EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.read_batch_window_us = 50000;
+  cfg.read_batch_max = ranges.size() - 1;  // the empty range never waits
+  engine::EngineRunner batched(cfg);
+  constexpr size_t kRounds = 3;
+  for (size_t round = 0; round < kRounds; ++round) {
+    std::atomic<int> mismatches{0};
+    ForkJoin fork(ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      fork.Spawn([&, i] {
+        auto [lo, hi] = ranges[i];
+        auto got = batched.RangeRead(*kiss, lo, hi);
+        auto want = serial.RangeRead(*prefix, lo, hi);
+        if (!got.ok() || !want.ok()) {
+          mismatches++;
+          return;
+        }
+        auto rows = keys_of(*kiss, *got);
+        if (sorted(rows) != sorted(keys_of(*prefix, *want)) ||
+            !std::is_sorted(rows.begin(), rows.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first < b.first;
+                            })) {
+          mismatches++;
+        }
+      });
+    }
+    fork.Join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+  }
+  // Some non-empty reads shared a scan.
+  EXPECT_LT(batched.read_stats().shared_scans, kRounds * (ranges.size() - 1));
 }
 
 // ---- admission control ------------------------------------------------------

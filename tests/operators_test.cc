@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/operators/select_join.h"
@@ -684,6 +689,151 @@ TEST_F(OperatorsTest, PooledOperatorsPollCancellationPerMorsel) {
   sj.output = {"result", {"brand"}, {}};
   SelectJoinOp select_join(sj);
   expect_unwinds(&select_join);
+}
+
+// KISS keys are KissKeyOf(v), the low 32 bits of v, so a range whose
+// bounds straddle zero maps to two key ranges (BaseIndex::KissRangesOf).
+// Selection and select-join over a KISS base index must return the rows
+// a prefix base index returns, serially and on the morsel path.
+TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
+  constexpr int64_t kSpan = 10000;
+  constexpr int64_t kGroups = 50;
+  Database db;
+  {
+    Schema schema({{"k", ValueType::kInt64, nullptr},
+                   {"g", ValueType::kInt64, nullptr}});
+    auto t = std::make_unique<RowTable>(schema, "t");
+    for (int64_t k = -kSpan; k <= kSpan; ++k) {
+      uint64_t row[2] = {SlotFromInt64(k),
+                         SlotFromInt64(((k % kGroups) + kGroups) % kGroups)};
+      t->AppendRow(row);
+    }
+    ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+    Schema dim_schema({{"g", ValueType::kInt64, nullptr},
+                       {"label", ValueType::kInt64, nullptr}});
+    auto dim = std::make_unique<RowTable>(dim_schema, "dim");
+    for (int64_t g = 0; g < kGroups; ++g) {
+      uint64_t row[2] = {SlotFromInt64(g), SlotFromInt64(g * 7)};
+      dim->AppendRow(row);
+    }
+    ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
+  }
+  BaseIndex::Options kiss;
+  kiss.kiss_root_bits = 20;
+  BaseIndex::Options prefix = kiss;
+  prefix.prefer_kiss = false;
+  ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {"g"}, kiss).ok());
+  ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {"g"}, prefix).ok());
+  ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}, kiss).ok());
+  ASSERT_EQ(db.index("t_kiss").value()->kind(), BaseIndex::Kind::kKiss);
+  ASSERT_EQ(db.index("t_prefix").value()->kind(), BaseIndex::Kind::kPrefix);
+
+  engine::WorkerPool pool(4);
+  using Rows = std::multiset<std::vector<int64_t>>;
+  auto run = [&](std::unique_ptr<Operator> op, size_t threads,
+                 uint64_t* morsels) {
+    PlanKnobs knobs;
+    knobs.table_options.kiss_root_bits = 20;
+    knobs.threads = threads;
+    ExecContext ctx(&db, knobs);
+    if (threads > 1) ctx.set_worker_pool(&pool);
+    Plan plan;
+    plan.Add(std::move(op));
+    plan.set_result_slot("result");
+    auto result = plan.Execute(&ctx);
+    EXPECT_TRUE(result.ok()) << result.status();
+    Rows rows;
+    if (!result.ok()) return rows;
+    for (const auto& row : result->rows) {
+      std::vector<int64_t> r;
+      for (const auto& v : row) r.push_back(v.AsInt());
+      rows.insert(r);
+    }
+    *morsels = ctx.stats()->TotalMorsels();
+    return rows;
+  };
+  auto selection = [](const std::string& index, int64_t lo, int64_t hi) {
+    SelectionSpec sel;
+    sel.input_index = index;
+    sel.predicate = KeyPredicate::Range(lo, hi);
+    sel.carry_columns = {"k", "g"};
+    sel.output = {"result", {"k"}, {}};
+    return std::make_unique<SelectionOp>(sel);
+  };
+  auto select_join = [](const std::string& index, int64_t lo, int64_t hi) {
+    SelectJoinSpec sj;
+    sj.input_index = index;
+    sj.predicate = KeyPredicate::Range(lo, hi);
+    sj.left_columns = {"k", "g"};
+    sj.probe_column = "g";
+    sj.right = SideRef::Base("dim_g");
+    sj.right_columns = {"label"};
+    sj.output = {"result", {"k"}, {}};
+    return std::make_unique<SelectJoinOp>(sj);
+  };
+
+  const std::vector<std::pair<int64_t, int64_t>> ranges{
+      {-5, -1}, {-5, 3}, {0, 3}, {3, -5}, {-kSpan, kSpan}};
+  for (const auto& [lo, hi] : ranges) {
+    Rows want_sel;
+    Rows want_join;
+    for (int64_t k = std::max(lo, -kSpan); k <= std::min(hi, kSpan); ++k) {
+      int64_t g = ((k % kGroups) + kGroups) % kGroups;
+      want_sel.insert({k, g});
+      want_join.insert({k, g, g * 7});
+    }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (const char* index : {"t_kiss", "t_prefix"}) {
+        std::string label = std::string(index) + " [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) +
+                            "] threads=" + std::to_string(threads);
+        uint64_t morsels = 0;
+        EXPECT_EQ(run(selection(index, lo, hi), threads, &morsels), want_sel)
+            << "selection over " << label;
+        EXPECT_EQ(run(select_join(index, lo, hi), threads, &morsels),
+                  want_join)
+            << "select-join over " << label;
+      }
+    }
+  }
+  // The wrapping range really takes the morsel path on the KISS index.
+  uint64_t morsels = 0;
+  run(selection("t_kiss", -kSpan, kSpan), 4, &morsels);
+  EXPECT_GT(morsels, 1u);
+  run(select_join("t_kiss", -kSpan, kSpan), 4, &morsels);
+  EXPECT_GT(morsels, 1u);
+}
+
+TEST(KissRangesOfTest, WrapsAroundZero) {
+  using R = BaseIndex::KissRanges;
+  auto check = [](const R& r, std::vector<std::pair<uint32_t, uint32_t>> want) {
+    ASSERT_EQ(r.count, want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(r.lo[i], want[i].first) << i;
+      EXPECT_EQ(r.hi[i], want[i].second) << i;
+    }
+  };
+  constexpr uint32_t kMax = 0xFFFFFFFFu;
+  check(BaseIndex::KissRangesOf(0, 3), {{0, 3}});
+  check(BaseIndex::KissRangesOf(3, 0), {});
+  check(BaseIndex::KissRangesOf(-5, -1), {{kMax - 4, kMax}});
+  check(BaseIndex::KissRangesOf(-5, 3), {{kMax - 4, kMax}, {0, 3}});
+  // Keys in [2^31, 2^32) that do not wrap stay one range.
+  check(BaseIndex::KissRangesOf(int64_t{1} << 31, kMax),
+        {{uint32_t{1} << 31, kMax}});
+  // Crossing 2^32 wraps like crossing zero.
+  check(BaseIndex::KissRangesOf(int64_t{kMax}, int64_t{kMax} + 2),
+        {{kMax, kMax}, {0, 1}});
+  // 2^32 or more values cover every key, listed from lo mod 2^32 up.
+  check(BaseIndex::KissRangesOf(-1, int64_t{kMax} - 1),
+        {{kMax, kMax}, {0, kMax - 1}});
+  check(BaseIndex::KissRangesOf(std::numeric_limits<int32_t>::min(),
+                                std::numeric_limits<int32_t>::max()),
+        {{uint32_t{1} << 31, kMax}, {0, (uint32_t{1} << 31) - 1}});
+  check(BaseIndex::KissRangesOf(0, int64_t{kMax} + 5), {{0, kMax}});
+  check(BaseIndex::KissRangesOf(std::numeric_limits<int64_t>::min(),
+                                std::numeric_limits<int64_t>::max()),
+        {{0, kMax}});
 }
 
 }  // namespace
