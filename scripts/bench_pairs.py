@@ -15,13 +15,21 @@ change first. Results are saved with `run.py --results` into OUT/parent
 and OUT/change, which must not hold results yet, and each run's printed
 summary (query and commit percentiles, say) into
 OUT/logs/SIDE-WORKLOAD-sSEED.log. Finally the script runs
-qppt_bench/bench_diff.py OUT/parent OUT/change and exits with its status,
+qppt_bench/bench_diff.py OUT/parent OUT/change, then prints the paired
+ratios: per workload and end-to-end metric, the change/parent ratio of
+each pair of runs with the same seed (median, min, max) and the pairs the
+change won. Host drift can widen both sides' interquartile ranges past a
+metric's bound, so that bench_diff.py reads "unresolved" while every pair
+won; the ratios show that. The script exits with bench_diff.py's status,
 or with at least 1 when any run exited non-zero (a build error or a
 failed output check); the failed runs are listed last.
 """
 
 import argparse
+import glob
+import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -87,6 +95,53 @@ def run_side(out, side, tree, build_dir, workload, seed, seconds, trace):
     return proc.returncode
 
 
+def load_untraced(results_dir):
+    """{workload: {seed: result}} of the untraced runs in RESULTS_DIR."""
+    runs = {}
+    for path in sorted(glob.glob(os.path.join(results_dir, "*.json"))):
+        if os.path.basename(path) == "meta.json":
+            continue
+        with open(path) as f:
+            run = json.load(f)
+        if run["trace"] == 0:
+            runs.setdefault(run["workload"], {}).setdefault(run["seed"],
+                                                            run["result"])
+    return runs
+
+
+def print_paired_ratios(out):
+    """Prints change/parent ratios of the pairs (same workload and seed)."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    parent = load_untraced(os.path.join(out, "parent"))
+    change = load_untraced(os.path.join(out, "change"))
+    rows = []
+    for workload in sorted(set(parent) & set(change)):
+        seeds = sorted(set(parent[workload]) & set(change[workload]))
+        for m in metrics:
+            name = m["name"]
+            sign = 1 if m["better"] == "higher" else -1
+            ratios = []
+            wins = 0
+            for seed in seeds:
+                p = parent[workload][seed]["metrics"][name]["value"]
+                c = change[workload][seed]["metrics"][name]["value"]
+                if p:
+                    ratios.append(c / p)
+                wins += sign * (c - p) > 0
+            if ratios:
+                rows.append((workload, name, statistics.median(ratios),
+                             min(ratios), max(ratios), wins, len(seeds)))
+    if not rows:
+        return
+    print(f"\npaired change/parent ratios (pairs share a seed)\n"
+          f"{'workload':12s} {'metric':22s} {'median':>8s} {'min':>8s} "
+          f"{'max':>8s} {'won':>7s}")
+    for workload, name, median, low, high, wins, pairs in rows:
+        print(f"{workload:12s} {name:22s} {median:8.4f} {low:8.4f} "
+              f"{high:8.4f} {wins:3d}/{pairs:<3d}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV",
@@ -135,6 +190,7 @@ def main():
     diff = [sys.executable, os.path.join(ROOT, "qppt_bench", "bench_diff.py"),
             os.path.join(out, "parent"), os.path.join(out, "change")]
     status = subprocess.run(diff).returncode
+    print_paired_ratios(out)
     if failed:
         # A failed run (build error, failed output check) may still have
         # saved a result that bench_diff.py compares; its verdict does not

@@ -21,6 +21,7 @@
 #ifndef QPPT_CORE_BASE_INDEX_H_
 #define QPPT_CORE_BASE_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -246,6 +247,20 @@ class BaseIndex {
       const ValueList* vals = prefix_->Lookup(key.data());
       if (vals != nullptr) vals->ForEach(fn);
     }
+  }
+
+  // IN-list match: the values of each distinct index key among `points`,
+  // once — IN is a set, and on a KISS index points equal modulo 2^32 are
+  // one key (KissKeyOf). Keys are visited in ascending key order.
+  template <typename F>
+  void ForEachMatchIn(const std::vector<int64_t>& points, F&& fn) const {
+    std::vector<int64_t> keys(points);
+    if (kind_ == Kind::kKiss) {
+      for (int64_t& k : keys) k = KissKeyOf(SlotFromInt64(k));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (int64_t k : keys) ForEachMatch(SlotFromInt64(k), fn);
   }
 
   template <typename F>

@@ -1,5 +1,7 @@
 #include "core/indexed_table.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -34,6 +36,20 @@ ValueType AggOutputType(const AggTerm& term, const Schema& input) {
   }
   return ValueType::kInt64;
 }
+
+// Group directory hash of an encoded key (whole 8-byte columns). The
+// big-endian words are the columns' order-preserving values, whose low
+// bits vary most, and the multiplications carry them into the top bits
+// the directory indexes by.
+uint64_t GroupHash(const uint8_t* key, size_t len) {
+  uint64_t h = 0;
+  for (size_t i = 0; i < len; i += 8) {
+    h = (h ^ DecodeU64(key + i)) * 0x9E3779B97F4A7C15ULL;
+  }
+  return h;
+}
+
+constexpr size_t kInitialGroupSlots = 64;
 
 }  // namespace
 
@@ -123,7 +139,8 @@ Status IndexedTable::Init(Schema schema,
 size_t IndexedTable::MemoryUsage() const {
   size_t index_bytes =
       kind_ == Kind::kKiss ? kiss_->MemoryUsage() : prefix_->MemoryUsage();
-  return index_bytes + rows_.capacity() * sizeof(uint64_t);
+  return index_bytes + rows_.capacity() * sizeof(uint64_t) +
+         group_dir_.capacity() * sizeof(PrefixTree::ContentNode*);
 }
 
 void IndexedTable::EncodeKey(const uint64_t* key_slots, KeyBuf* out) const {
@@ -391,10 +408,43 @@ void IndexedTable::InsertAggregated(const uint64_t* key_slots,
   } else {
     KeyBuf key;
     EncodeKey(key_slots, &key);
-    payload = prefix_->FindOrCreatePayload(key.data(), &created);
+    payload = GroupPayload(key.data(), &created);
   }
   if (created) bound_agg_.Init(payload);
   bound_agg_.Combine(payload, input_row);
+}
+
+std::byte* IndexedTable::GroupPayload(const uint8_t* key, bool* created) {
+  if (2 * (group_dir_used_ + 1) > group_dir_.size()) GrowGroupDirectory();
+  const size_t len = encoded_key_len();
+  const size_t mask = group_dir_.size() - 1;
+  size_t i = GroupHash(key, len) >> (64 - std::countr_zero(mask + 1));
+  for (;; i = (i + 1) & mask) {
+    PrefixTree::ContentNode* c = group_dir_[i];
+    if (c == nullptr) break;
+    if (std::memcmp(c->key(), key, len) == 0) {
+      *created = false;
+      return prefix_->MutablePayloadOf(c);
+    }
+  }
+  PrefixTree::ContentNode* c = prefix_->FindOrCreateGroup(key, created);
+  group_dir_[i] = c;
+  ++group_dir_used_;
+  return prefix_->MutablePayloadOf(c);
+}
+
+void IndexedTable::GrowGroupDirectory() {
+  std::vector<PrefixTree::ContentNode*> old = std::move(group_dir_);
+  const size_t size = std::max(kInitialGroupSlots, 2 * old.size());
+  group_dir_.assign(size, nullptr);
+  const size_t len = encoded_key_len();
+  const int shift = 64 - std::countr_zero(size);
+  for (PrefixTree::ContentNode* c : old) {
+    if (c == nullptr) continue;
+    size_t i = GroupHash(c->key(), len) >> shift;
+    while (group_dir_[i] != nullptr) i = (i + 1) & (size - 1);
+    group_dir_[i] = c;
+  }
 }
 
 }  // namespace qppt

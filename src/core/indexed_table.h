@@ -12,6 +12,20 @@
 // per-group accumulators living in the index payloads; sorting (the index
 // is order-preserving) and grouping are side effects of output indexing.
 //
+// A prefix-tree aggregate table also keeps a *group directory*: an
+// open-addressing hash (linear probing, power-of-two size, allocated on
+// the first insert, doubled once more than half full) from the encoded
+// group key to the tree's content node. Every int64 group column encodes
+// as 8 bytes, so a 2- or 3-column key sits 32 or 48 fragment levels deep;
+// InsertAggregated folds a directory hit straight into the node's
+// payload and walks the tree only on a miss. A slot matches when the key
+// bytes stored in its node equal the encoded key, so groups are exactly
+// the tree's (sign flip, double transform). The pointers stay valid
+// because the tree never moves a content node: dynamic expansion relinks
+// the same node one level down. Only InsertAggregated reads or fills the
+// directory (8 B a slot: 16-32 B a group); merges, scans and KISS tables
+// do not use it, and CloneEmpty starts without one.
+//
 // Intermediate tables are query-private: no transactional bookkeeping (§3).
 
 #ifndef QPPT_CORE_INDEXED_TABLE_H_
@@ -254,6 +268,10 @@ class IndexedTable {
   void DecodeKeyInto(const uint8_t* key, uint64_t* out) const;
   // Writes finalized aggregates into the trailing columns of `out`.
   void FinalizeInto(const std::byte* payload, uint64_t* out) const;
+  // The payload of group `key` (encoded), found in the group directory or
+  // else found or created in the prefix tree and then entered.
+  std::byte* GroupPayload(const uint8_t* key, bool* created);
+  void GrowGroupDirectory();
 
   Kind kind_ = Kind::kPrefix;
   Schema schema_;
@@ -265,6 +283,9 @@ class IndexedTable {
   std::unique_ptr<PrefixTree> prefix_;
   std::vector<uint64_t> rows_;  // kValues tuples
   size_t num_tuples_ = 0;
+  // Group directory (prefix-tree aggregate tables; see the file comment).
+  std::vector<PrefixTree::ContentNode*> group_dir_;
+  size_t group_dir_used_ = 0;
 };
 
 }  // namespace qppt

@@ -122,7 +122,7 @@ struct KeyPredicate {
   int64_t point = 0;
   int64_t lo = 0;
   int64_t hi = 0;
-  std::vector<int64_t> in_points;  // kIn: one point lookup per entry
+  std::vector<int64_t> in_points;  // kIn: a set (duplicates are ignored)
 
   static KeyPredicate All() { return {}; }
   static KeyPredicate Point(int64_t v) {

@@ -161,9 +161,7 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
                               SlotFromInt64(spec_.predicate.hi), scan_emit);
         break;
       case KeyPredicate::Kind::kIn:
-        for (int64_t point : spec_.predicate.in_points) {
-          index->ForEachMatch(SlotFromInt64(point), scan_emit);
-        }
+        index->ForEachMatchIn(spec_.predicate.in_points, scan_emit);
         break;
       case KeyPredicate::Kind::kAll:
         index->ForEachValue(scan_emit);

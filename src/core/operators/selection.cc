@@ -153,9 +153,7 @@ Status SelectionOp::Execute(ExecContext* ctx) {
                                 SlotFromInt64(spec_.predicate.hi), emit);
           break;
         case KeyPredicate::Kind::kIn:
-          for (int64_t point : spec_.predicate.in_points) {
-            index->ForEachMatch(SlotFromInt64(point), emit);
-          }
+          index->ForEachMatchIn(spec_.predicate.in_points, emit);
           break;
         case KeyPredicate::Kind::kAll:
           index->ForEachValue(emit);

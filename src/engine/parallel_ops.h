@@ -15,6 +15,7 @@
 #ifndef QPPT_ENGINE_PARALLEL_OPS_H_
 #define QPPT_ENGINE_PARALLEL_OPS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -189,17 +190,23 @@ size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
   return slices.size();
 }
 
-// Values per slice morsel when the gather fallback below kicks in.
+// Values per morsel, at least, when the run mode below kicks in.
 inline constexpr size_t kMinSliceValues = 1024;
 
 // Runs process(worker, value) for every value stored under tree ∩
 // [lo, hi], and end_morsel(worker) after each morsel's last value.
-// Prefers disjoint key-range morsels; when the populated span has too
-// few root buckets to feed the workers (a low-cardinality selection
-// attribute — e.g. eleven discount values, each with a million-entry
-// duplicate list), it gathers the qualifying values once and morsels
-// over slices of the gathered vector instead. Returns the morsel count
-// (0 = nothing qualified).
+// Prefers disjoint key-range morsels. When the populated span has fewer
+// root buckets than workers (a low-cardinality selection attribute —
+// e.g. eleven discount values, each with a million-entry duplicate
+// list), it captures the qualifying values as runs instead: each key's
+// ValueList::ForEachRun (its inline first value, then its segments), or
+// a run of 1 for a KISS entry holding one inline value. The N
+// concatenated values split into M even slices (SplitEvenly, about
+// kMinSliceValues or more each); a morsel starts at the run a binary
+// search over the runs' start offsets finds and reads the values in
+// place — none is copied. A run keeps the length it had at the capture,
+// so on a live index an append that lands later is never read. Returns
+// the morsel count (0 = nothing qualified).
 template <typename ProcessFn, typename EndMorselFn>
 size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
                            uint32_t lo, uint32_t hi, ProcessFn&& process,
@@ -218,18 +225,48 @@ size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
     });
     return ranges.size();
   }
-  std::vector<uint64_t> values;
+  // runs[r] holds values [starts[r], starts[r + 1]) of the concatenation;
+  // an inline KISS value is kept in its run's `single`.
+  struct Run {
+    const uint64_t* values;
+    uint64_t single;
+  };
+  std::vector<Run> runs;
+  std::vector<size_t> starts{0};
+  auto add_run = [&](const uint64_t* values, uint32_t n) {
+    runs.push_back({values, 0});
+    starts.push_back(starts.back() + n);
+  };
   tree.ScanRange(lo, hi, [&](uint32_t, const KissTree::ValueRef& vals) {
-    vals.ForEach([&](uint64_t v) { values.push_back(v); });
+    if (const ValueList* list = vals.list()) {
+      list->ForEachRun(add_run);
+    } else {
+      runs.push_back({nullptr, vals.front()});
+      starts.push_back(starts.back() + 1);
+    }
   });
-  if (values.empty()) return 0;
+  const size_t total = starts.back();
+  if (total == 0) return 0;
+  // `runs` is complete, so pointers into it stay valid from here on.
+  for (Run& run : runs) {
+    if (run.values == nullptr) run.values = &run.single;
+  }
   auto slices = SplitEvenly(
-      values.size(),
-      std::min(target,
-               (values.size() + kMinSliceValues - 1) / kMinSliceValues));
+      total,
+      std::min(target, (total + kMinSliceValues - 1) / kMinSliceValues));
   RunMorsels(site, slices.size(), [&](size_t worker, size_t m) {
-    for (size_t i = slices[m].first; i < slices[m].second; ++i) {
-      process(worker, values[i]);
+    size_t pos = slices[m].first;
+    const size_t end = slices[m].second;
+    size_t r = static_cast<size_t>(
+        std::upper_bound(starts.begin(), starts.end(), pos) -
+        starts.begin() - 1);
+    for (; pos < end; ++r) {
+      const uint64_t* values = runs[r].values;
+      const size_t last = std::min(end, starts[r + 1]) - starts[r];
+      for (size_t i = pos - starts[r]; i < last; ++i) {
+        process(worker, values[i]);
+      }
+      pos = starts[r] + last;
     }
     end_morsel(worker);
   });

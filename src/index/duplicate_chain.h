@@ -81,6 +81,26 @@ class ValueList {
     }
   }
 
+  // Visits the values as contiguous runs: fn(const uint64_t* values,
+  // uint32_t n) — the inline first value as a run of 1, then each
+  // segment's published values (newest segment first; empty segments are
+  // skipped). The loads are ForEach's acquire loads, so the runs hold
+  // exactly the values ForEach would visit. A run's values are immutable
+  // once published (appends only land past `n`), so a caller may keep
+  // (values, n) and read it after later appends — it sees the list as it
+  // was at the call, which is what lets the engine hand runs of a live
+  // index to workers as a snapshot.
+  template <typename F>
+  void ForEachRun(F&& fn) const {
+    if (count_.load(std::memory_order_acquire) == 0) return;
+    fn(&first_, uint32_t{1});
+    for (const Segment* seg = head_.load(std::memory_order_acquire);
+         seg != nullptr; seg = seg->next) {
+      uint32_t used = seg->used.load(std::memory_order_acquire);
+      if (used > 0) fn(seg->values(), used);
+    }
+  }
+
   // Copies all values into `out` (which must have room for size() values).
   // Single-threaded use only: a concurrent append could outgrow `out`.
   void CopyTo(uint64_t* out) const {

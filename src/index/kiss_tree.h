@@ -210,6 +210,9 @@ class KissTree {
     uint64_t front() const {
       return list_ != nullptr ? list_->first() : inline_value_;
     }
+    // The duplicate list, or nullptr when the entry holds its one value
+    // inline (then front() is that value).
+    const ValueList* list() const { return list_; }
 
    private:
     uint64_t inline_value_ = 0;

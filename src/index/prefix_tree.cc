@@ -161,10 +161,16 @@ void PrefixTree::InsertForMerge(const uint8_t* key, uint64_t value,
 
 std::byte* PrefixTree::FindOrCreatePayload(const uint8_t* key,
                                            bool* created) {
+  return MutablePayloadOf(FindOrCreateGroup(key, created));
+}
+
+PrefixTree::ContentNode* PrefixTree::FindOrCreateGroup(const uint8_t* key,
+                                                       bool* created) {
+  assert(config_.mode == PayloadMode::kAggregate);
   MergeStats stats;
-  std::byte* payload = FindOrCreatePayloadForMerge(key, created, &stats);
+  ContentNode* c = FindOrCreateContent(key, created, &stats);
   AddMergedKeyStats(stats);
-  return payload;
+  return c;
 }
 
 std::byte* PrefixTree::FindOrCreatePayloadForMerge(const uint8_t* key,

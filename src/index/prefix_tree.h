@@ -140,6 +140,12 @@ class PrefixTree {
   // side effect of output indexing (§3).
   std::byte* FindOrCreatePayload(const uint8_t* key, bool* created);
 
+  // FindOrCreatePayload's content node. A content node never moves once
+  // created — dynamic expansion relinks the same node one level down —
+  // so the pointer, and the key and payload in the node, stay valid for
+  // the tree's lifetime (IndexedTable's group directory keeps them).
+  ContentNode* FindOrCreateGroup(const uint8_t* key, bool* created);
+
   // Returns the payload for `key`, or nullptr if absent.
   const std::byte* FindPayload(const uint8_t* key) const;
 

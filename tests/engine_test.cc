@@ -601,6 +601,94 @@ TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
   EXPECT_EQ(small->num_tuples(), 100u);
 }
 
+// ---- value morsels over few root buckets -----------------------------------
+
+// RunKissValueMorsels over keys spanning fewer root buckets than workers
+// takes its run mode: morsels are even slices of the qualifying values,
+// read in place from inline values and duplicate segments. Keys mix
+// inline single values, short lists and lists of several 4 KiB segments
+// (510 values each) over three root buckets of 4096 keys.
+TEST(KissValueMorselsTest, RunMorselsVisitEveryValueOnce) {
+  KissTree::Config cfg;
+  cfg.root_bits = 20;  // 12-bit level-2 fragment: 4096 keys per bucket
+  KissTree tree(cfg);
+  uint64_t next = 0;
+  auto add = [&](uint32_t key, size_t n) {
+    for (size_t i = 0; i < n; ++i) tree.Insert(key, next++);
+  };
+  for (uint32_t bucket = 0; bucket < 3; ++bucket) {
+    const uint32_t base = bucket << 12;
+    for (uint32_t k = 0; k < 10; ++k) add(base + k, 1);
+    for (uint32_t k = 10; k < 20; ++k) add(base + k, 3);
+    for (uint32_t k = 20; k < 23; ++k) add(base + k, 1500 + 700 * k);
+  }
+
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    engine::WorkerPool pool(threads);
+    engine::MorselSite site;
+    site.pool = &pool;
+    // One whole bucket; keys 15–21 of bucket 0 (short lists and two long
+    // ones); with more than three workers also key 5 of bucket 0 through
+    // key 21 of bucket 2.
+    std::vector<std::pair<uint32_t, uint32_t>> spans{{0, 4095}, {15, 21}};
+    if (threads > 3) spans.push_back({5, (2u << 12) + 21});
+    for (const auto& [lo, hi] : spans) {
+      std::vector<uint64_t> want;
+      tree.ScanRange(lo, hi, [&](uint32_t, const KissTree::ValueRef& vals) {
+        vals.ForEach([&](uint64_t v) { want.push_back(v); });
+      });
+      std::sort(want.begin(), want.end());
+
+      // Per worker: values seen, values since the worker's last
+      // end_morsel, and the value count of each morsel it ended.
+      std::vector<std::vector<uint64_t>> seen(threads);
+      std::vector<size_t> pending(threads, 0);
+      std::vector<std::vector<size_t>> ended(threads);
+      size_t morsels = engine::RunKissValueMorsels(
+          site, tree, lo, hi,
+          [&](size_t w, uint64_t v) {
+            seen[w].push_back(v);
+            ++pending[w];
+          },
+          [&](size_t w) {
+            ended[w].push_back(pending[w]);
+            pending[w] = 0;
+          });
+
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]";
+      std::vector<uint64_t> got;
+      std::vector<size_t> sizes;
+      for (size_t w = 0; w < threads; ++w) {
+        got.insert(got.end(), seen[w].begin(), seen[w].end());
+        sizes.insert(sizes.end(), ended[w].begin(), ended[w].end());
+        EXPECT_EQ(pending[w], 0u) << label << ": values after end_morsel";
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << label;
+      ASSERT_EQ(sizes.size(), morsels) << label;
+      // More morsels than buckets: the run mode split the values.
+      EXPECT_GT(morsels, 3u) << label;
+      auto [smallest, largest] =
+          std::minmax_element(sizes.begin(), sizes.end());
+      EXPECT_LE(*largest - *smallest, 1u) << label;
+    }
+
+    // Nothing qualifies: outside the populated span, and a gap between
+    // keys inside one populated bucket.
+    std::atomic<size_t> calls{0};
+    auto count = [&](size_t, uint64_t) { ++calls; };
+    auto end = [&](size_t) { ++calls; };
+    EXPECT_EQ(engine::RunKissValueMorsels(site, tree, 5u << 12, 6u << 12,
+                                          count, end),
+              0u);
+    EXPECT_EQ(engine::RunKissValueMorsels(site, tree, 100, 200, count, end),
+              0u);
+    EXPECT_EQ(calls.load(), 0u);
+  }
+}
+
 // ---- session front door: shared-scan reads ---------------------------------
 
 class SessionReadTest : public ::testing::Test {

@@ -804,6 +804,130 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
   EXPECT_GT(morsels, 1u);
 }
 
+// IN is a set: a point listed twice selects its rows once, and on a
+// KISS index points equal modulo 2^32 name one key (KissKeyOf). Checked
+// for a dimension selection and a fact select-join over KISS and prefix
+// indexes.
+TEST(InListTest, DuplicatePointsSelectRowsOnce) {
+  constexpr int64_t kParts = 40;
+  constexpr int64_t kMfgrs = 5;
+  constexpr int64_t kSales = 4000;
+  Database db;
+  {
+    Schema schema({{"partkey", ValueType::kInt64, nullptr},
+                   {"mfgr", ValueType::kInt64, nullptr}});
+    auto part = std::make_unique<RowTable>(schema, "part");
+    for (int64_t p = 0; p < kParts; ++p) {
+      uint64_t row[2] = {SlotFromInt64(p), SlotFromInt64(p % kMfgrs)};
+      part->AppendRow(row);
+    }
+    ASSERT_TRUE(db.AddTable(std::move(part)).ok());
+    Schema sales_schema({{"partkey", ValueType::kInt64, nullptr},
+                         {"amount", ValueType::kInt64, nullptr}});
+    auto sales = std::make_unique<RowTable>(sales_schema, "sales");
+    for (int64_t i = 0; i < kSales; ++i) {
+      uint64_t row[2] = {SlotFromInt64((i * 7) % kParts), SlotFromInt64(i)};
+      sales->AppendRow(row);
+    }
+    ASSERT_TRUE(db.AddTable(std::move(sales)).ok());
+  }
+  BaseIndex::Options kiss;
+  kiss.kiss_root_bits = 20;
+  BaseIndex::Options prefix = kiss;
+  prefix.prefer_kiss = false;
+  for (const auto& [suffix, opt] :
+       {std::pair{"_kiss", kiss}, std::pair{"_prefix", prefix}}) {
+    std::string s(suffix);
+    ASSERT_TRUE(db.BuildIndex("part_mfgr" + s, "part", {"mfgr"}, {"partkey"},
+                              opt)
+                    .ok());
+    ASSERT_TRUE(db.BuildIndex("sales_partkey" + s, "sales", {"partkey"},
+                              {"amount"}, opt)
+                    .ok());
+  }
+  ASSERT_TRUE(
+      db.BuildIndex("part_pk", "part", {"partkey"}, {"mfgr"}, kiss).ok());
+
+  using Rows = std::vector<std::vector<int64_t>>;
+  auto run = [&](std::unique_ptr<Operator> op) {
+    PlanKnobs knobs;
+    knobs.table_options.kiss_root_bits = 20;
+    ExecContext ctx(&db, knobs);
+    Plan plan;
+    plan.Add(std::move(op));
+    plan.set_result_slot("result");
+    auto result = plan.Execute(&ctx);
+    EXPECT_TRUE(result.ok()) << result.status();
+    Rows rows;
+    if (!result.ok()) return rows;
+    for (const auto& row : result->rows) {
+      std::vector<int64_t> r;
+      for (const auto& v : row) r.push_back(v.AsInt());
+      rows.push_back(r);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  // Dimension selection: the parts of the listed manufacturers.
+  auto selection = [](const std::string& index, std::vector<int64_t> in) {
+    SelectionSpec sel;
+    sel.input_index = index;
+    sel.predicate = KeyPredicate::In(std::move(in));
+    sel.carry_columns = {"partkey", "mfgr"};
+    sel.output = {"result", {"partkey"}, {}};
+    return std::make_unique<SelectionOp>(sel);
+  };
+  // Fact select-join: the sales of the listed parts, joined with part and
+  // summed per manufacturer.
+  auto select_join = [](const std::string& index, std::vector<int64_t> in) {
+    SelectJoinSpec sj;
+    sj.input_index = index;
+    sj.predicate = KeyPredicate::In(std::move(in));
+    sj.left_columns = {"partkey", "amount"};
+    sj.probe_column = "partkey";
+    sj.right = SideRef::Base("part_pk");
+    sj.right_columns = {"mfgr"};
+    AggSpec agg({{AggFn::kSum, ScalarExpr::Column("amount"), "revenue"},
+                 {AggFn::kCount, {}, "n"}});
+    sj.output = {"result", {"mfgr"}, agg};
+    return std::make_unique<SelectJoinOp>(sj);
+  };
+
+  // References from the generating rules.
+  Rows want_sel;
+  for (int64_t p = 0; p < kParts; ++p) {
+    if (p % kMfgrs == 1) want_sel.push_back({p, 1});
+  }
+  Rows want_join;
+  {
+    int64_t revenue = 0;
+    int64_t n = 0;
+    for (int64_t i = 0; i < kSales; ++i) {
+      if ((i * 7) % kParts == 6) {
+        revenue += i;
+        ++n;
+      }
+    }
+    want_join.push_back({6 % kMfgrs, revenue, n});
+  }
+
+  for (const char* suffix : {"_kiss", "_prefix"}) {
+    const std::string dim = std::string("part_mfgr") + suffix;
+    const std::string fact = std::string("sales_partkey") + suffix;
+    EXPECT_EQ(run(selection(dim, {1})), want_sel) << dim;
+    EXPECT_EQ(run(selection(dim, {1, 1})), want_sel) << dim;
+    EXPECT_EQ(run(select_join(fact, {6})), want_join) << fact;
+    EXPECT_EQ(run(select_join(fact, {6, 6})), want_join) << fact;
+  }
+  // KISS keys are v mod 2^32, so 1 + 2^32 names key 1 there.
+  constexpr int64_t kWrap = int64_t{1} << 32;
+  EXPECT_EQ(run(selection("part_mfgr_kiss", {1, 1 + kWrap})), want_sel);
+  EXPECT_EQ(run(select_join("sales_partkey_kiss", {6 + kWrap, 6})),
+            want_join);
+  // A prefix index compares whole values: 1 + 2^32 is another key.
+  EXPECT_EQ(run(selection("part_mfgr_prefix", {1 + kWrap, 1})), want_sel);
+}
+
 TEST(KissRangesOfTest, WrapsAroundZero) {
   using R = BaseIndex::KissRanges;
   auto check = [](const R& r, std::vector<std::pair<uint32_t, uint32_t>> want) {
