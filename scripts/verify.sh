@@ -2,13 +2,11 @@
 # Tier-1 verify: configure, build, and run the full test suite.
 # Usage:
 #   scripts/verify.sh [Release|Debug]   build + ctest (default: Release)
-#   scripts/verify.sh --analyze         static analysis: qppt_lint over the
-#                                       tree, the lint fixture tests, the
-#                                       qppt-tidy plugin checks (built and
-#                                       run when the LLVM dev headers and a
-#                                       clang-tidy binary exist), and
-#                                       clang-tidy on the tidy-clean modules
-#                                       (src/util, src/storage, src/dbg).
+#   scripts/verify.sh --analyze         static analysis: the lint fixture
+#                                       tests and qppt_lint over the tree,
+#                                       then clang-tidy (when installed) on
+#                                       the tidy-clean modules (src/util,
+#                                       src/storage, src/dbg).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -16,31 +14,13 @@ BUILD_DIR="$ROOT/build"
 
 if [ "${1:-}" = "--analyze" ]; then
   python3 "$ROOT/tests/lint_fixtures_test.py"
+  python3 "$ROOT/scripts/analyze/qppt_lint.py"
   if command -v clang-tidy >/dev/null 2>&1; then
     cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
-    # Build the qppt-tidy plugin if the headers allow; run the AST
-    # checks over the full compile DB, then the regex lint with its
-    # superseded fallbacks off. Exit 3 = plugin unavailable: fall back
-    # to the pure-regex lint so the invariants stay covered.
-    cmake --build "$BUILD_DIR" --target qppt-tidy -j"$(nproc)" \
-      >/dev/null 2>&1 || true
-    tidy_rc=0
-    python3 "$ROOT/scripts/analyze/run_qppt_tidy.py" \
-      --build-dir "$BUILD_DIR" || tidy_rc=$?
-    if [ "$tidy_rc" = 0 ]; then
-      python3 "$ROOT/scripts/analyze/run_qppt_tidy.py" \
-        --build-dir "$BUILD_DIR" --fixtures
-      python3 "$ROOT/scripts/analyze/qppt_lint.py" --ast-checks=skip
-    elif [ "$tidy_rc" = 3 ]; then
-      python3 "$ROOT/scripts/analyze/qppt_lint.py"
-    else
-      exit "$tidy_rc"
-    fi
     clang-tidy -p "$BUILD_DIR" --quiet \
       "$ROOT"/src/util/*.cc "$ROOT"/src/storage/*.cc "$ROOT"/src/dbg/*.cc
   else
     echo "verify --analyze: clang-tidy not installed; lint checks only"
-    python3 "$ROOT/scripts/analyze/qppt_lint.py"
   fi
   echo "verify --analyze: OK"
   exit 0

@@ -81,7 +81,7 @@ Result<std::vector<BoundAssist>> BindAssists(
     QPPT_ASSIGN_OR_RETURN(
         bound.side, BoundSide::Bind(ctx, aspec.index, aspec.carry_columns));
     // The probe column must already be assembled when this assist runs.
-    // alloc-exempt: O(columns) schema copy, once per assist bind.
+    // O(columns) schema copy, once per assist bind.
     Schema so_far{std::vector<ColumnDef>(*defs)};
     QPPT_ASSIGN_OR_RETURN(bound.probe_pos,
                           so_far.ColumnIndex(aspec.probe_column));

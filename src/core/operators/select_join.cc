@@ -34,7 +34,7 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
   all_assists.insert(all_assists.end(), spec_.assists.begin(),
                      spec_.assists.end());
 
-  // alloc-exempt: O(columns) schema copy, once per operator bind.
+  // O(columns) schema copy, once per operator bind.
   std::vector<ColumnDef> defs = left.column_defs();
   QPPT_ASSIGN_OR_RETURN(auto assists, BindAssists(*ctx, all_assists, &defs));
   Schema assembled(std::move(defs));

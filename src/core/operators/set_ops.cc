@@ -18,7 +18,7 @@ Status IntersectOp::Execute(ExecContext* ctx) {
   QPPT_ASSIGN_OR_RETURN(
       auto right, BoundSide::Bind(*ctx, spec_.right, spec_.right_columns));
 
-  // alloc-exempt: O(columns) schema copy, once per operator bind.
+  // O(columns) schema copy, once per operator bind.
   std::vector<ColumnDef> defs = left.column_defs();
   defs.insert(defs.end(), right.column_defs().begin(),
               right.column_defs().end());

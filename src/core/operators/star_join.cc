@@ -37,7 +37,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
       auto right, BoundSide::Bind(*ctx, spec_.right, spec_.right_columns));
 
   // Assembled-tuple layout: left ++ right ++ assist carries.
-  // alloc-exempt: O(columns) schema copy, once per operator bind.
+  // O(columns) schema copy, once per operator bind.
   std::vector<ColumnDef> defs = left.column_defs();
   defs.insert(defs.end(), right.column_defs().begin(),
               right.column_defs().end());

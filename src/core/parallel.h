@@ -46,6 +46,8 @@ class ForkJoin {
       try {
         fn();
       } catch (...) {
+        // lock-rank: manual — a leaf lock, held only to record the first
+        // worker exception; nothing else is locked while it is held.
         std::lock_guard<std::mutex> lock(mu_);
         if (!error_) error_ = std::current_exception();
       }

@@ -1,13 +1,11 @@
 #include "engine/session.h"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -167,47 +165,23 @@ void AnswerKissPoints(const IndexedTable& table,
   ++*shared_scans;
 }
 
-// Answers a batch of range requests with one pass over the union span
-// of their KISS key ranges (BaseIndex::KissRangesOf); each visited key is
-// routed to every request whose key range holds it. Requests whose
-// ranges wrap have two key ranges; a first pass serves their first
-// parts (the values from lo up to the wrap), so every answer stays in
-// ascending order.
+// Answers each range request with its own scans of its KISS key ranges
+// (BaseIndex::KissRangesOf), in order, so every answer stays ascending
+// and a batch never walks the keys between two requests.
 void AnswerKissRanges(const IndexedTable& table,
                       const std::vector<Request*>& ranges,
                       uint64_t* shared_scans) {
   const KissTree& data = *table.kiss();
-  // One request's key range in the current pass.
-  struct Span {
-    uint32_t lo;
-    uint32_t hi;
-    Request* request;
-  };
-  std::vector<Span> spans;
-  spans.reserve(ranges.size());
-  // Pass 0 scans the first key range of every wrapping request, pass 1
-  // the last key range of every request.
-  for (size_t pass = 0; pass < 2; ++pass) {
-    spans.clear();
-    uint32_t lo = std::numeric_limits<uint32_t>::max();
-    uint32_t hi = 0;
-    for (Request* r : ranges) {
-      BaseIndex::KissRanges k = BaseIndex::KissRangesOf(r->lo, r->hi);
-      if (k.count == 0 || (pass == 0 && k.count == 1)) continue;
-      size_t part = pass == 0 ? 0 : k.count - 1;
-      spans.push_back({k.lo[part], k.hi[part], r});
-      lo = std::min(lo, k.lo[part]);
-      hi = std::max(hi, k.hi[part]);
+  for (Request* r : ranges) {
+    BaseIndex::KissRanges k = BaseIndex::KissRangesOf(r->lo, r->hi);
+    for (size_t i = 0; i < k.count; ++i) {
+      data.ScanRange(k.lo[i], k.hi[i],
+                     [&](uint32_t, const KissTree::ValueRef& ids) {
+                       ids.ForEach([&](uint64_t id) { r->out.push_back(id); });
+                     });
     }
-    if (spans.empty()) continue;
-    data.ScanRange(lo, hi, [&](uint32_t key, const KissTree::ValueRef& ids) {
-      for (const Span& s : spans) {
-        if (key < s.lo || key > s.hi) continue;
-        ids.ForEach([&](uint64_t id) { s.request->out.push_back(id); });
-      }
-    });
+    ++*shared_scans;
   }
-  ++*shared_scans;
 }
 
 // Prefix-tree fallback: per-request lookups on the encoded single-column

@@ -8,11 +8,12 @@
 // It also serves *index reads* (point and range lookups against one
 // IndexedTable): concurrent compatible reads are batched group-commit
 // style — the first waiter becomes the batch leader, gathers requests
-// arriving within a short window, and answers the whole batch with ONE
-// shared pass over the index. Point batches build a probe KISS-Tree of
-// the requested keys and co-traverse it with the data tree via the
-// synchronous index scan (core/sync_scan.h) — the same skip-subtree
-// machinery QPPT uses for joins, reused as a multi-query optimization.
+// arriving within a short window, and answers the whole batch. On a
+// KISS index the point reads share ONE pass: they build a probe
+// KISS-Tree of the requested keys and co-traverse it with the data tree
+// via the synchronous index scan (core/sync_scan.h) — the same
+// skip-subtree machinery QPPT uses for joins, reused as a multi-query
+// optimization. Each range read scans only its own key range.
 
 #ifndef QPPT_ENGINE_SESSION_H_
 #define QPPT_ENGINE_SESSION_H_
@@ -183,13 +184,14 @@ class EngineRunner {
   // a single int64-like key column; aggregated, composite-keyed, or
   // double-keyed tables yield empty results. `table` must outlive every
   // read; the runner keeps a per-table batcher until ReleaseReads(table)
-  // or destruction. If the shared scan fails (e.g. allocation failure),
+  // or destruction. If the leader's scan fails (e.g. allocation failure),
   // the leader's error Status is propagated to EVERY request of the
   // batch — followers never observe silently-empty results.
   [[nodiscard]] Result<std::vector<uint64_t>> PointRead(
       const IndexedTable& table, int64_t key);
   // All tuple ids with keys in [lo, hi], in ascending key order. Same
-  // contract as PointRead.
+  // contract as PointRead, except that the leader answers each range
+  // with its own scan rather than one scan shared by the batch.
   [[nodiscard]] Result<std::vector<uint64_t>> RangeRead(
       const IndexedTable& table, int64_t lo, int64_t hi);
 

@@ -1,12 +1,12 @@
-// Fixture: qppt-cancel-coverage clean twin — a polling function, a
-// helper with no cancel source in scope (the index-internal shape), and
-// the cancel-exempt escape hatch must all pass.
+// Clean twin of cancel_coverage_violation.cc, linted with --treat-as-hot:
+// a polling function, a morsel-driven one, a helper with no cancel
+// source in scope, and the cancel-exempt escape. qppt_lint must pass
+// this file.
 
 namespace qppt {
 
 class CancelToken {
  public:
-  bool cancel_requested() const { return false; }
   int Check() const { return 0; }
 };
 
@@ -24,9 +24,22 @@ struct ExecContext {
   CancelToken token_;
 };
 
+struct MorselSite {
+  const CancelToken* cancel;
+};
+
 template <typename Fn>
 void SynchronousScan(const Fn& fn) {
   for (int i = 0; i < 100; ++i) fn(i);
+}
+
+// The driver polls once per morsel.
+template <typename Fn>
+void RunMorsels(const MorselSite& site, int count, const Fn& fn) {
+  for (int m = 0; m < count; ++m) {
+    if (site.cancel->Check() != 0) return;
+    fn(m);
+  }
 }
 
 }  // namespace qppt
@@ -44,6 +57,18 @@ int PolledScan(qppt::ExecContext* ctx) {
   for (int i = 0; i < 8; ++i) {
     for (int j = 0; j < 8; ++j) sum += i * j;
   }
+  return sum;
+}
+
+// Hands its MorselSite to the driver, which polls per morsel.
+int DrivenScan(qppt::ExecContext* ctx) {
+  qppt::MorselSite site{ctx->cancel()};
+  int sum = 0;
+  qppt::RunMorsels(site, 4, [&](int m) {
+    for (int i = 0; i < 8; ++i) {
+      for (int j = 0; j < 8; ++j) sum += m * i * j;
+    }
+  });
   return sum;
 }
 

@@ -24,8 +24,18 @@ CASES = [
     ("relaxed_clean.cc", [], {}),
     ("release_pair_violation.cc", [], {"release-pair": 2}),
     ("release_pair_clean.cc", [], {}),
+    ("memory_order_violation.cc", [], {"memory-order-literal": 3}),
+    ("memory_order_clean.cc", [], {}),
     ("hot_alloc_violation.cc", ["--treat-as-hot"], {"hot-path-alloc": 3}),
     ("hot_alloc_clean.cc", ["--treat-as-hot"], {}),
+    ("hot_alloc_function_violation.cc", ["--treat-as-hot"],
+     {"hot-path-alloc": 2}),
+    ("hot_alloc_function_clean.cc", ["--treat-as-hot"], {}),
+    ("ranked_lock_violation.cc", [], {"ranked-lock": 3}),
+    ("ranked_lock_clean.cc", [], {}),
+    ("cancel_coverage_violation.cc", ["--treat-as-hot"],
+     {"cancel-coverage": 2}),
+    ("cancel_coverage_clean.cc", ["--treat-as-hot"], {}),
     ("planstats_violation.cc", [], {"planstats-clear": 1}),
     ("planstats_clean.cc", [], {}),
     ("failpoint_violation.cc", [], {"failpoint-tag": 2}),

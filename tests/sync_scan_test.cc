@@ -129,7 +129,8 @@ TEST_P(SyncScanPrefixTest, MatchesSetIntersection) {
     std::vector<uint8_t> key(key_len);
     // Narrow value domain so intersections are non-trivial.
     uint64_t v = rng.NextBounded(3000);
-    for (size_t i = 0; i < key_len; ++i) {
+    // Big-endian v in the low 8 bytes; longer keys keep zero high bytes.
+    for (size_t i = 0; i < std::min<size_t>(key_len, 8); ++i) {
       key[key_len - 1 - i] = static_cast<uint8_t>(v >> (8 * i));
     }
     return key;
