@@ -3,14 +3,9 @@
 #ifndef QPPT_BENCH_BENCH_COMMON_H_
 #define QPPT_BENCH_BENCH_COMMON_H_
 
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <ctime>
+#include <cstdlib>
 #include <memory>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "core/stats.h"
 #include "ssb/dbgen.h"
@@ -60,171 +55,6 @@ double MinWallMs(int reps, F&& fn) {
   }
   return best;
 }
-
-// ---- shared throughput/latency reporting -------------------------------------
-//
-// One row format shared by the parallel/engine benches
-// (bench_ablation_parallel, bench_engine_throughput), so thread-scaling
-// numbers stay comparable across binaries:
-//
-//   bench                config          n   wall_ms       qps   p50_ms   p99_ms  morsels
-
-// Per-query latency samples with percentile extraction.
-class LatencyRecorder {
- public:
-  void Add(double ms) { samples_ms_.push_back(ms); }
-  void Merge(const LatencyRecorder& other) {
-    samples_ms_.insert(samples_ms_.end(), other.samples_ms_.begin(),
-                       other.samples_ms_.end());
-  }
-  size_t count() const { return samples_ms_.size(); }
-
-  // p in [0, 100]; nearest-rank on the sorted samples.
-  double Percentile(double p) const {
-    if (samples_ms_.empty()) return 0;
-    std::vector<double> sorted = samples_ms_;
-    std::sort(sorted.begin(), sorted.end());
-    size_t rank = static_cast<size_t>(p / 100.0 *
-                                      static_cast<double>(sorted.size()));
-    if (rank >= sorted.size()) rank = sorted.size() - 1;
-    return sorted[rank];
-  }
-
- private:
-  std::vector<double> samples_ms_;
-};
-
-inline void PrintThroughputHeader() {
-  std::printf("%-20s %-14s %6s %9s %9s %8s %8s %8s\n", "bench", "config",
-              "n", "wall_ms", "qps", "p50_ms", "p99_ms", "morsels");
-}
-
-inline void PrintThroughputRow(const std::string& bench,
-                               const std::string& config, size_t n,
-                               double wall_ms, const LatencyRecorder& lat,
-                               uint64_t morsels) {
-  double qps = wall_ms > 0 ? 1000.0 * static_cast<double>(n) / wall_ms : 0;
-  std::printf("%-20s %-14s %6zu %9.2f %9.1f %8.2f %8.2f %8llu\n",
-              bench.c_str(), config.c_str(), n, wall_ms, qps,
-              lat.Percentile(50), lat.Percentile(99),
-              static_cast<unsigned long long>(morsels));
-}
-
-// Default engine worker count for the throughput benches: every hardware
-// thread (NOT a fixed 8 — oversubscribing a 1-vCPU box costs ~8%),
-// overridable with QPPT_ENGINE_THREADS.
-inline size_t EngineThreads() {
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return static_cast<size_t>(
-      GetEnvInt64("QPPT_ENGINE_THREADS", static_cast<int64_t>(hw)));
-}
-
-// ---- machine-readable bench output (--json) ----------------------------------
-//
-// Passing `--json` to a bench binary mirrors its reported rows into
-// BENCH_engine.json (path overridable with QPPT_BENCH_JSON_PATH) as a
-// JSON array of flat objects:
-//
-//   {"bench": "flight", "config": "t=8", "query": "1.1", "threads": 8,
-//    "n": 1, "wall_ms": 1.42, "qps": 0, "p50_ms": 0, "p99_ms": 0,
-//    "morsels": 12, "merge_wall_ms": 0.31}
-//
-// so the perf trajectory stays machine-diffable across PRs (CI uploads
-// the file as an artifact). Field values are controlled identifiers and
-// numbers — no JSON string escaping is needed or performed.
-//
-// The first array element is a `_meta` row identifying the run
-// (hardware threads, build type, git describe, UTC timestamp), so an
-// artifact downloaded months later still says which build produced it.
-class JsonReport {
- public:
-  struct Row {
-    std::string bench;
-    std::string config;
-    std::string query;  // empty for aggregate rows
-    size_t threads = 1;
-    size_t n = 0;
-    double wall_ms = 0;
-    double qps = 0;
-    double p50_ms = 0;
-    double p99_ms = 0;
-    uint64_t morsels = 0;
-    double merge_wall_ms = 0;
-  };
-
-  // `default_path` keeps each binary's rows in its own file so two
-  // benches run in the same directory never silently clobber each other;
-  // QPPT_BENCH_JSON_PATH overrides.
-  JsonReport(int argc, char** argv,
-             const char* default_path = "BENCH_engine.json") {
-    for (int i = 1; i < argc; ++i) {
-      if (std::string(argv[i]) == "--json") enabled_ = true;
-    }
-    path_ = GetEnvString("QPPT_BENCH_JSON_PATH", default_path);
-  }
-  ~JsonReport() { Write(); }
-  JsonReport(const JsonReport&) = delete;
-  JsonReport& operator=(const JsonReport&) = delete;
-
-  bool enabled() const { return enabled_; }
-  void Add(Row row) {
-    if (enabled_) rows_.push_back(std::move(row));
-  }
-
-  void Write() {
-    if (!enabled_ || written_) return;
-    written_ = true;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::perror(("JsonReport: cannot open " + path_).c_str());
-      return;
-    }
-    std::fprintf(f, "[\n");
-    unsigned hw = std::thread::hardware_concurrency();
-    char stamp[32] = "unknown";
-    std::time_t now = std::time(nullptr);
-    std::tm utc{};
-    if (gmtime_r(&now, &utc) != nullptr) {
-      std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
-    }
-#ifndef QPPT_GIT_DESCRIBE
-#define QPPT_GIT_DESCRIBE "unknown"
-#endif
-#ifndef QPPT_BUILD_TYPE
-#define QPPT_BUILD_TYPE "unknown"
-#endif
-    std::fprintf(f,
-                 "  {\"_meta\": true, \"hardware_threads\": %u, "
-                 "\"build_type\": \"%s\", \"git\": \"%s\", "
-                 "\"timestamp\": \"%s\"}%s\n",
-                 hw, QPPT_BUILD_TYPE, QPPT_GIT_DESCRIBE, stamp,
-                 rows_.empty() ? "" : ",");
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
-      std::fprintf(
-          f,
-          "  {\"bench\": \"%s\", \"config\": \"%s\", \"query\": \"%s\", "
-          "\"threads\": %zu, \"n\": %zu, \"wall_ms\": %.4f, \"qps\": %.2f, "
-          "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"morsels\": %llu, "
-          "\"merge_wall_ms\": %.4f}%s\n",
-          r.bench.c_str(), r.config.c_str(), r.query.c_str(), r.threads,
-          r.n, r.wall_ms, r.qps, r.p50_ms, r.p99_ms,
-          static_cast<unsigned long long>(r.morsels), r.merge_wall_ms,
-          i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
-    std::printf("(wrote %zu bench rows to %s)\n", rows_.size(),
-                path_.c_str());
-  }
-
- private:
-  bool enabled_ = false;
-  bool written_ = false;
-  std::string path_;
-  std::vector<Row> rows_;
-};
 
 }  // namespace qppt::bench
 

@@ -14,11 +14,10 @@
 #include "ssb/queries_baseline.h"
 #include "ssb/queries_qppt.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace qppt;
   using namespace qppt::bench;
 
-  JsonReport json(argc, argv, "BENCH_fig7.json");
   auto data = LoadSsb();
   int reps = Repetitions();
   std::printf("SSB query performance (SF=%.2f, %zu lineorder rows, "
@@ -31,29 +30,16 @@ int main(int argc, char** argv) {
   PlanKnobs knobs;
   double totals[3] = {0, 0, 0};
   for (const auto& id : ssb::AllQueryIds()) {
-    // Explicit best-rep loop (not MinWallMs) so the reported morsel and
-    // merge statistics come from the SAME rep as the reported wall time.
     size_t qppt_rows = 0;
-    uint64_t qppt_morsels = 0;
-    double qppt_merge_ms = 0;
-    double qppt_ms = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      PlanStats stats;
-      Timer t;
-      auto r = ssb::RunQppt(*data, id, knobs, &stats);
-      double ms = t.ElapsedMs();
+    double qppt_ms = MinWallMs(reps, [&] {
+      auto r = ssb::RunQppt(*data, id, knobs);
       if (!r.ok()) {
         std::fprintf(stderr, "QPPT Q%s failed: %s\n", id.c_str(),
                      r.status().ToString().c_str());
         std::exit(1);
       }
-      if (ms < qppt_ms) {
-        qppt_ms = ms;
-        qppt_rows = r->rows.size();
-        qppt_morsels = stats.TotalMorsels();
-        qppt_merge_ms = stats.TotalMergeMs();
-      }
-    }
+      qppt_rows = r->rows.size();
+    });
     double vector_ms = MinWallMs(reps, [&] {
       auto r = ssb::RunVector(*data, id);
       if (!r.ok()) std::exit(1);
@@ -68,10 +54,6 @@ int main(int argc, char** argv) {
     std::printf("Q%-5s %16.2f %16.2f %16.2f %9.2fx  (%zu rows)\n",
                 id.c_str(), qppt_ms, vector_ms, column_ms,
                 qppt_ms > 0 ? column_ms / qppt_ms : 0.0, qppt_rows);
-    json.Add({"fig7", "qppt", id, 1, 1, qppt_ms, 0, 0, 0, qppt_morsels,
-              qppt_merge_ms});
-    json.Add({"fig7", "vector", id, 1, 1, vector_ms, 0, 0, 0, 0, 0});
-    json.Add({"fig7", "column", id, 1, 1, column_ms, 0, 0, 0, 0, 0});
   }
   std::printf("%-6s %16.2f %16.2f %16.2f\n", "TOTAL", totals[0], totals[1],
               totals[2]);

@@ -49,9 +49,13 @@ Result<std::vector<BoundResidual>> BindResiduals(
     const BaseIndex& index, const std::vector<Residual>& residuals) {
   std::vector<BoundResidual> bound;
   bound.reserve(residuals.size());
+  const Schema& schema = index.table().schema();
   for (const auto& r : residuals) {
     QPPT_ASSIGN_OR_RETURN(auto acc, index.BindColumn(r.column));
-    bound.push_back({r, acc});
+    auto col = schema.ColumnIndex(r.column);  // fails only for "@rid"
+    bool is_double =
+        col.ok() && schema.column(*col).type == ValueType::kDouble;
+    bound.push_back({r, acc, is_double});
   }
   return bound;
 }

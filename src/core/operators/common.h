@@ -138,7 +138,8 @@ struct KeyPredicate {
 
 // Residual comparison evaluated per qualifying tuple (conjunctive with the
 // key predicate and with each other). Values are int64 slots — dictionary
-// codes for string columns.
+// codes for string columns; a double column compares its decoded value
+// with the literals (EvalDouble).
 struct Residual {
   enum class Cmp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe, kBetween };
   std::string column;
@@ -165,34 +166,46 @@ struct Residual {
     return {std::move(col), Cmp::kBetween, lo, hi};
   }
 
-  bool Eval(int64_t v) const {
+  bool Eval(int64_t v) const { return Compare(v); }
+  bool EvalDouble(double v) const { return Compare(v); }
+
+ private:
+  // Compares v with the literals converted to T.
+  template <typename T>
+  bool Compare(T v) const {
+    const T x = static_cast<T>(a);
     switch (cmp) {
       case Cmp::kEq:
-        return v == a;
+        return v == x;
       case Cmp::kNe:
-        return v != a;
+        return v != x;
       case Cmp::kLt:
-        return v < a;
+        return v < x;
       case Cmp::kLe:
-        return v <= a;
+        return v <= x;
       case Cmp::kGt:
-        return v > a;
+        return v > x;
       case Cmp::kGe:
-        return v >= a;
+        return v >= x;
       case Cmp::kBetween:
-        return v >= a && v <= b;
+        return v >= x && v <= static_cast<T>(b);
     }
     return false;
   }
 };
 
-// A residual bound to a base-index accessor.
+// A residual bound to a base-index accessor. `is_double` is fixed at bind
+// time from the column's type, so the int64 path pays one predicted
+// branch.
 struct BoundResidual {
   Residual residual;
   BaseIndex::Accessor accessor;
+  bool is_double = false;
 
   bool Eval(uint64_t value) const {
-    return residual.Eval(Int64FromSlot(accessor.Get(value)));
+    uint64_t slot = accessor.Get(value);
+    if (is_double) return residual.EvalDouble(DoubleFromSlot(slot));
+    return residual.Eval(Int64FromSlot(slot));
   }
 };
 

@@ -22,8 +22,8 @@ Status HavingOp::Execute(ExecContext* ctx) {
   }
   const Schema& schema = input->schema();
 
-  // Bind residuals against the group-row layout. Double-typed aggregate
-  // columns compare via their decoded value.
+  // Bind residuals against the group-row layout. Double-typed columns
+  // (AVG, and SUM/MIN/MAX of a double) compare their decoded value.
   struct Bound {
     size_t col;
     bool is_double;
@@ -55,10 +55,7 @@ Status HavingOp::Execute(ExecContext* ctx) {
     cancel.Tick();
     for (const auto& b : bound) {
       if (b.is_double) {
-        // Compare in the double domain against the int64 literal.
-        double v = DoubleFromSlot(row[b.col]);
-        Residual as_int = b.residual;
-        if (!as_int.Eval(static_cast<int64_t>(v))) return;
+        if (!b.residual.EvalDouble(DoubleFromSlot(row[b.col]))) return;
       } else if (!b.residual.Eval(Int64FromSlot(row[b.col]))) {
         return;
       }

@@ -5,11 +5,12 @@
 // tree splits into disjoint subtrees by key range, and subtrees can be
 // assigned to threads without the rebalancing hazards of B-trees (a
 // balancing operation may move already-processed data into another
-// thread's subtree). This header provides that partitioning for both
-// index families plus a simple fork-join driver. PartitionKissRange /
-// PartitionPrefixRange are also the morsel sources of the engine layer
-// (engine/scheduler.h), which turns the substrate into concurrent
-// operator throughput.
+// thread's subtree). This header provides the KISS-Tree key-range
+// partitioning and the balanced slice split that the engine's morsel
+// drivers (engine/parallel_ops.h) run on the worker pool
+// (engine/scheduler.h), plus a fork-join scope for client threads.
+// Prefix trees split at their branching level instead (FindPairScanLevel,
+// core/sync_scan.h).
 
 #ifndef QPPT_CORE_PARALLEL_H_
 #define QPPT_CORE_PARALLEL_H_
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "index/kiss_tree.h"
-#include "index/prefix_tree.h"
 
 namespace qppt {
 
@@ -133,109 +133,6 @@ inline std::vector<std::pair<size_t, size_t>> SplitEvenly(size_t n,
     at += take;
   }
   return slices;
-}
-
-// Chops the ascending slot list `used` into at most `shards` contiguous
-// spans [begin, end), each holding a balanced share of the listed slots.
-inline std::vector<std::pair<size_t, size_t>> SpansOverUsedSlots(
-    const std::vector<size_t>& used, size_t shards) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  for (const auto& [begin, end] : SplitEvenly(used.size(), shards)) {
-    ranges.emplace_back(used[begin], used[end - 1] + 1);
-  }
-  return ranges;
-}
-
-// The effective root fanout of a prefix tree (short keys can make the
-// first fragment narrower than 2^kprime).
-inline size_t PrefixRootFanout(const PrefixTree& tree) {
-  return std::min(tree.fanout(),
-                  size_t{1} << std::min<size_t>(tree.config().kprime,
-                                                tree.key_len() * 8));
-}
-
-// Root-slot spans [begin, end) partitioning a prefix tree into at most
-// `shards` disjoint subtree groups. Only *populated* root slots count
-// toward the balance, so a skewed tree still yields evenly loaded shards;
-// every returned span contains at least one populated slot.
-inline std::vector<std::pair<size_t, size_t>> PartitionPrefixRange(
-    const PrefixTree& tree, size_t shards) {
-  if (tree.num_keys() == 0 || shards == 0) return {};
-  size_t fanout = PrefixRootFanout(tree);
-  std::vector<size_t> used;
-  for (size_t i = 0; i < fanout; ++i) {
-    if (PrefixTree::LoadSlot(&tree.root()->slots[i]) != 0) used.push_back(i);
-  }
-  return SpansOverUsedSlots(used, shards);
-}
-
-// (Pair partitioning for the parallel synchronous index scan lives in
-// core/sync_scan.h — FindPairScanLevel descends the shared single-slot
-// chain to the branching level before splitting, so keys with long
-// common encoded prefixes still parallelize.)
-
-// Scans a KISS-Tree with `threads` worker threads, one disjoint key shard
-// set per thread. F: void(size_t shard, uint32_t key,
-// const KissTree::ValueRef&). Each shard is scanned in ascending key
-// order; shards run concurrently, so F must be safe for concurrent calls
-// with distinct `shard` values (e.g. write to per-shard accumulators).
-template <typename F>
-void ParallelScan(const KissTree& tree, size_t threads, F&& fn) {
-  auto ranges = PartitionKissRange(tree, threads);
-  if (ranges.empty()) return;
-  if (ranges.size() == 1) {
-    tree.ScanRange(ranges[0].first, ranges[0].second,
-                   [&](uint32_t key, const KissTree::ValueRef& values) {
-                     fn(size_t{0}, key, values);
-                   });
-    return;
-  }
-  ForkJoin fork(ranges.size());
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    fork.Spawn([&, s] {
-      tree.ScanRange(ranges[s].first, ranges[s].second,
-                     [&](uint32_t key, const KissTree::ValueRef& values) {
-                       fn(s, key, values);
-                     });
-    });
-  }
-  fork.Join();
-}
-
-// Scans a prefix tree with `threads` workers by splitting the root node's
-// populated buckets into contiguous spans. F: void(size_t shard,
-// const PrefixTree::ContentNode&).
-template <typename F>
-void ParallelScan(const PrefixTree& tree, size_t threads, F&& fn) {
-  auto ranges = PartitionPrefixRange(tree, threads);
-  if (ranges.empty()) return;
-  if (ranges.size() == 1) {
-    tree.ScanRootSlots(ranges[0].first, ranges[0].second,
-                       [&](const PrefixTree::ContentNode& c) {
-                         fn(size_t{0}, c);
-                       });
-    return;
-  }
-  ForkJoin fork(ranges.size());
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    fork.Spawn([&, s] {
-      tree.ScanRootSlots(ranges[s].first, ranges[s].second,
-                         [&](const PrefixTree::ContentNode& c) { fn(s, c); });
-    });
-  }
-  fork.Join();
-}
-
-// Convenience: parallel duplicate-aware tuple count (sanity/statistics).
-inline uint64_t ParallelCountValues(const KissTree& tree, size_t threads) {
-  std::vector<uint64_t> counts(threads == 0 ? 1 : threads, 0);
-  ParallelScan(tree, threads,
-               [&](size_t shard, uint32_t, const KissTree::ValueRef& v) {
-                 counts[shard] += v.size();
-               });
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  return total;
 }
 
 }  // namespace qppt

@@ -1,14 +1,15 @@
 // Work-stealing morsel scheduler — the engine's execution substrate.
 //
 // A fixed pool of worker threads executes *morsels*: small, independent
-// units of operator work (typically one disjoint key subrange produced by
-// PartitionKissRange / PartitionPrefixRange, core/parallel.h). Each
-// worker owns a deque; a submitted batch is spread round-robin across the
-// deques, workers pop their own deque LIFO and steal FIFO from others
-// when idle. Morsels from *different* concurrent queries interleave
-// freely over the same workers, which is what lets one fixed pool serve
-// many admitted queries (morsel-driven parallelism à la HyPer, adapted to
-// QPPT's deterministic tree partitions).
+// units of operator work (typically one disjoint KISS-Tree key subrange
+// from PartitionKissRange, core/parallel.h, or one slice of a prefix-tree
+// pair's branching-level slots from FindPairScanLevel, core/sync_scan.h).
+// Each worker owns a deque; a submitted batch is spread round-robin
+// across the deques, workers pop their own deque LIFO and steal FIFO
+// from others when idle. Morsels from *different* concurrent queries
+// interleave freely over the same workers, which is what lets one fixed
+// pool serve many admitted queries (morsel-driven parallelism à la
+// HyPer, adapted to QPPT's deterministic tree partitions).
 //
 // Kept deliberately simple (KISS): one pool-wide mutex guards the deques
 // — morsels are coarse (thousands of tuples), so the lock is cold — and

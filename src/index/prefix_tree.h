@@ -193,26 +193,6 @@ class PrefixTree {
     ScanRangeRec(root_, 0, lo, hi, true, true, fn);
   }
 
-  // In-order traversal restricted to root buckets [begin_slot, end_slot).
-  // Unbalanced trees partition deterministically by root bucket (§7:
-  // subtrees can be assigned to different threads without rebalancing
-  // moving data between partitions). Thread-safe for concurrent readers.
-  template <typename F>
-  void ScanRootSlots(size_t begin_slot, size_t end_slot, F&& fn) const {
-    size_t width = FragWidth(0);
-    size_t limit = size_t{1} << width;
-    if (end_slot > limit) end_slot = limit;
-    for (size_t i = begin_slot; i < end_slot; ++i) {
-      Slot s = LoadSlot(&root_->slots[i]);
-      if (s == 0) continue;
-      if (IsContent(s)) {
-        fn(*AsContent(s));
-      } else {
-        ScanRec(AsNode(s), width, fn);
-      }
-    }
-  }
-
   // --- batch processing (§2.3, Algorithm 1) -------------------------------
 
   struct LookupJob {

@@ -24,6 +24,7 @@
 #include "engine/parallel_ops.h"
 #include "engine/scheduler.h"
 #include "engine/session.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace qppt {
@@ -97,6 +98,36 @@ TEST(WorkerPoolTest, MorselExceptionPropagatesToSubmitter) {
   std::atomic<int> ran{0};
   pool.Run(8, [&](size_t, size_t) { ran++; });
   EXPECT_EQ(ran.load(), 8);
+}
+
+// Worker 0 holds its first morsel until every other morsel has finished,
+// so the rest of its deque (the batch is dealt round-robin) can only run
+// on worker 1, taken from worker 0's deque: the steal counter must move.
+// The hold gives up after 10 s, so a pool that cannot steal fails the
+// test instead of hanging it.
+TEST(WorkerPoolTest, IdleWorkerStealsFromABlockedOne) {
+  auto& reg = obs::MetricsRegistry::Global();
+  const uint64_t before =
+      reg.Snapshot().CounterValue("engine_tasks_stolen_total");
+  engine::WorkerPool pool(2);
+  constexpr size_t kMorsels = 8;
+  std::atomic<size_t> finished{0};
+  std::atomic<bool> held{false};
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  pool.Run(kMorsels, [&](size_t worker, size_t) {
+    if (worker == 0 && !held.exchange(true)) {
+      while (finished.load() < kMorsels - 1 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    }
+    finished.fetch_add(1);
+  });
+  EXPECT_EQ(finished.load(), kMorsels);
+  const uint64_t after =
+      reg.Snapshot().CounterValue("engine_tasks_stolen_total");
+  EXPECT_GE(after - before, 1u);
 }
 
 // ---- partial outputs & merge -----------------------------------------------

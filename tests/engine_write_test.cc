@@ -8,11 +8,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/operators/selection.h"
 #include "core/plan.h"
+#include "engine/retry.h"
 #include "engine/session.h"
 #include "engine/write_session.h"
 #include "obs/metrics.h"
@@ -356,6 +358,96 @@ TEST(WriteSessionTest, ConcurrentWritersAndSnapshotReaders) {
             static_cast<size_t>(kInitialRows + kCommits * kBatch));
   EXPECT_EQ(engine.write_stats().committed,
             static_cast<uint64_t>(kCommits));
+}
+
+// ---- RetryTxn -----------------------------------------------------------
+
+// v of logical row `id` in `ws`'s snapshot (through its own writes).
+Result<int64_t> ReadV(const Database& db, const WriteSession& ws,
+                      MvccTable::LogicalId id) {
+  QPPT_ASSIGN_OR_RETURN(std::optional<Rid> rid, ws.Read("items", id));
+  if (!rid) return Status::NotFound("row not visible");
+  QPPT_ASSIGN_OR_RETURN(const MvccTable* table, db.versioned_table("items"));
+  return Int64FromSlot(table->storage().GetSlot(*rid, 1));
+}
+
+int64_t CommittedV(EngineRunner& engine, const Database& db, int64_t k) {
+  auto result = engine.Execute(db, RangePlan(k, k), PlanKnobs{});
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok() || result->rows.size() != 1) return -1;
+  return result->rows[0][1].AsInt();
+}
+
+// A rival commits the row between the first attempt's read and its
+// update: that update loses first-updater-wins, and the retry re-reads
+// the rival's value, so the increment is not lost.
+TEST(RetryTxnTest, ConflictInFirstAttemptRetriesOnceWithoutLostUpdate) {
+  auto db = MakeDb();
+  EngineRunner engine(EngineConfig{.threads = 1});
+  int attempts = 0;
+  Status st = engine::RetryTxn(
+      &engine, db.get(), [&](WriteSession& ws) -> Status {
+        ++attempts;
+        QPPT_ASSIGN_OR_RETURN(int64_t v, ReadV(*db, ws, 2));
+        if (attempts == 1) {
+          WriteSession rival = engine.OpenWriteSession(db.get());
+          uint64_t row[2] = {SlotFromInt64(2), SlotFromInt64(500)};
+          QPPT_RETURN_NOT_OK(rival.Update("items", /*id=*/2, row));
+          QPPT_RETURN_NOT_OK(rival.Commit().status());
+        }
+        uint64_t row[2] = {SlotFromInt64(2), SlotFromInt64(v + 1)};
+        return ws.Update("items", /*id=*/2, row);
+      });
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(engine.write_stats().retries, 1u);
+  EXPECT_EQ(CommittedV(engine, *db, 2), 501);
+}
+
+TEST(RetryTxnTest, NonConflictErrorReturnsAfterOneAttempt) {
+  auto db = MakeDb();
+  EngineRunner engine(EngineConfig{.threads = 1});
+  int attempts = 0;
+  Status st = engine::RetryTxn(
+      &engine, db.get(), [&](WriteSession& ws) -> Status {
+        ++attempts;
+        uint64_t row[2] = {SlotFromInt64(3), SlotFromInt64(0)};
+        QPPT_RETURN_NOT_OK(ws.Update("items", /*id=*/3, row));
+        return Status::InvalidArgument("rejected by the client");
+      });
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(engine.write_stats().retries, 0u);
+  EXPECT_EQ(engine.write_stats().aborted, 1u);
+  EXPECT_EQ(CommittedV(engine, *db, 3), 3);  // the update never landed
+}
+
+// Another session's uncommitted write holds the row through every
+// attempt: the call gives up after max_attempts with the conflict.
+TEST(RetryTxnTest, HeldRowExhaustsAttempts) {
+  auto db = MakeDb();
+  EngineRunner engine(EngineConfig{.threads = 1});
+  WriteSession holder = engine.OpenWriteSession(db.get());
+  uint64_t held[2] = {SlotFromInt64(4), SlotFromInt64(44)};
+  ASSERT_TRUE(holder.Update("items", /*id=*/4, held).ok());
+
+  engine::RetryOptions opts;
+  opts.max_attempts = 3;
+  int attempts = 0;
+  Status st = engine::RetryTxn(
+      &engine, db.get(),
+      [&](WriteSession& ws) -> Status {
+        ++attempts;
+        uint64_t row[2] = {SlotFromInt64(4), SlotFromInt64(45)};
+        return ws.Update("items", /*id=*/4, row);
+      },
+      opts);
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists) << st;
+  EXPECT_EQ(attempts, opts.max_attempts);
+  EXPECT_EQ(engine.write_stats().retries,
+            static_cast<uint64_t>(opts.max_attempts - 1));
+  ASSERT_TRUE(holder.Abort().ok());
+  EXPECT_EQ(CommittedV(engine, *db, 4), 4);
 }
 
 }  // namespace

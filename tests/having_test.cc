@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/operators/having.h"
 #include "core/operators/selection.h"
@@ -137,6 +138,82 @@ TEST_F(HavingTest, UnknownColumnFails) {
   ExecContext ctx(&db_);
   Plan plan = MakePlan({Residual::Ge("ghost", 1)});
   EXPECT_TRUE(plan.Run(&ctx).IsNotFound());
+}
+
+// HAVING on double-valued aggregates compares the decoded value with the
+// literal: truncating 2.5 to 2 would pass Le(2), and -2.5 to -2 would
+// fail Lt(-2).
+class DoubleHavingTest : public ::testing::Test {
+ public:
+  void SetUp() override {
+    Schema schema({{"g", ValueType::kInt64, nullptr},
+                   {"x", ValueType::kInt64, nullptr},
+                   {"price", ValueType::kDouble, nullptr}});
+    auto t = std::make_unique<RowTable>(schema, "t");
+    // Per group g: AVG(x) and SUM(price).
+    //   g=0: 2.5, 1.5   g=1: -2.5, -1.5   g=2: 2.0, 2.0   g=3: 1.5, 2.5
+    struct Row {
+      int64_t g, x;
+      double price;
+    };
+    for (const Row& r : {Row{0, 2, 0.75}, Row{0, 3, 0.75}, Row{1, -2, -0.5},
+                         Row{1, -3, -1.0}, Row{2, 2, 1.0}, Row{2, 2, 1.0},
+                         Row{3, 1, 2.25}, Row{3, 2, 0.25}}) {
+      uint64_t row[3] = {SlotFromInt64(r.g), SlotFromInt64(r.x),
+                         SlotFromDouble(r.price)};
+      t->AppendRow(row);
+    }
+    ASSERT_TRUE(db_.AddTable(std::move(t)).ok());
+    BaseIndex::Options opt;
+    opt.kiss_root_bits = 16;
+    ASSERT_TRUE(db_.BuildIndex("t_by_g", "t", {"g"}, {"x", "price"}, opt).ok());
+  }
+
+  // The groups whose aggregate `term` (named "agg") passes `residual`.
+  std::vector<int64_t> Groups(AggTerm term, Residual residual) {
+    Plan plan;
+    SelectionSpec sel;
+    sel.input_index = "t_by_g";
+    sel.predicate = KeyPredicate::All();
+    sel.carry_columns = {"g", "x", "price"};
+    term.out_name = "agg";
+    sel.output = {"by_g", {"g"}, AggSpec({term})};
+    plan.Emplace<SelectionOp>(sel);
+    HavingSpec having;
+    having.input_slot = "by_g";
+    residual.column = "agg";
+    having.residuals = {residual};
+    having.output_slot = "result";
+    plan.Emplace<HavingOp>(having);
+    plan.set_result_slot("result");
+    ExecContext ctx(&db_);
+    auto result = plan.Execute(&ctx);
+    EXPECT_TRUE(result.ok()) << result.status();
+    std::vector<int64_t> groups;
+    if (!result.ok()) return groups;
+    for (const auto& row : result->rows) groups.push_back(row[0].AsInt());
+    return groups;
+  }
+
+  Database db_;
+};
+
+TEST_F(DoubleHavingTest, AvgComparesValues) {
+  AggTerm avg{AggFn::kAvg, ScalarExpr::Column("x"), ""};
+  using G = std::vector<int64_t>;
+  EXPECT_EQ(Groups(avg, Residual::Le("", 2)), (G{1, 2, 3}));
+  EXPECT_EQ(Groups(avg, Residual::Eq("", 2)), (G{2}));
+  EXPECT_EQ(Groups(avg, Residual::Lt("", -2)), (G{1}));
+  EXPECT_EQ(Groups(avg, Residual::Between("", -2, 2)), (G{2, 3}));
+}
+
+TEST_F(DoubleHavingTest, SumOfDoubleColumnComparesValues) {
+  AggTerm sum{AggFn::kSum, ScalarExpr::Column("price"), ""};
+  using G = std::vector<int64_t>;
+  EXPECT_EQ(Groups(sum, Residual::Le("", 1)), (G{1}));
+  EXPECT_EQ(Groups(sum, Residual::Lt("", -1)), (G{1}));
+  EXPECT_EQ(Groups(sum, Residual::Ge("", 2)), (G{2, 3}));
+  EXPECT_EQ(Groups(sum, Residual::Between("", -1, 2)), (G{0, 2}));
 }
 
 }  // namespace

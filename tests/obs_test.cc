@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,12 +215,39 @@ TEST(MetricsRegistryTest, GlobalIsProcessWideAndEngineInstrumented) {
   MetricsRegistry& g2 = MetricsRegistry::Global();
   EXPECT_EQ(&g1, &g2);
   // Constructing a pool registers the scheduler metrics in the global
-  // registry (names the CI bench-smoke job greps for).
+  // registry (qppt_bench's per-layer engine metrics read these names).
   engine::WorkerPool pool(0);
   MetricsSnapshot snap = g1.Snapshot();
   EXPECT_NE(snap.Find("engine_tasks_executed_total"), nullptr);
   EXPECT_NE(snap.Find("engine_tasks_stolen_total"), nullptr);
   EXPECT_NE(snap.Find("engine_queue_depth"), nullptr);
+}
+
+// QPPT_METRICS_DUMP set before the process's first Global() call makes
+// the registry write its Prometheus text to that path at exit. The
+// "threadsafe" style runs the statement in a freshly executed child, so
+// its registry is created inside the statement, after the setenv. The
+// child runs in the parent's working directory, so a relative path names
+// one file for both, and builds whose suites run at once do not share it.
+TEST(MetricsDumpDeathTest, WritesPrometheusTextAtExit) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const std::string path = "qppt_metrics_dump.prom";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        setenv("QPPT_METRICS_DUMP", path.c_str(), 1);
+        MetricsRegistry::Global().GetCounter("dump_test_total")->Add(3);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::ifstream dump(path);
+  ASSERT_TRUE(dump.is_open()) << path;
+  bool found = false;
+  for (std::string line; std::getline(dump, line);) {
+    found = found || line == "dump_test_total 3";
+  }
+  EXPECT_TRUE(found) << "no counter line in " << path;
+  std::remove(path.c_str());
 }
 
 // ---- QueryTrace --------------------------------------------------------------

@@ -928,6 +928,106 @@ TEST(InListTest, DuplicatePointsSelectRowsOnce) {
   EXPECT_EQ(run(selection("part_mfgr_prefix", {1 + kWrap, 1})), want_sel);
 }
 
+// Residuals on a double column compare its value with the literal, not
+// the value's IEEE bits with the int64 literal (under which every
+// positive price passes Ge(2) and every negative one fails it).
+class DoubleResidualTest : public ::testing::Test {
+ public:
+  void SetUp() override {
+    Schema schema({{"id", ValueType::kInt64, nullptr},
+                   {"price", ValueType::kDouble, nullptr}});
+    auto items = std::make_unique<RowTable>(schema, "items");
+    Schema grp_schema({{"id", ValueType::kInt64, nullptr},
+                       {"grp", ValueType::kInt64, nullptr}});
+    auto groups = std::make_unique<RowTable>(grp_schema, "groups");
+    const double prices[] = {0.5, 1.5, 2.5, 3.5, -1.5};
+    for (int64_t i = 0; i < 5; ++i) {
+      uint64_t row[2] = {SlotFromInt64(i), SlotFromDouble(prices[i])};
+      items->AppendRow(row);
+      uint64_t grp[2] = {SlotFromInt64(i), SlotFromInt64(i % 2)};
+      groups->AppendRow(grp);
+    }
+    ASSERT_TRUE(db_.AddTable(std::move(items)).ok());
+    ASSERT_TRUE(db_.AddTable(std::move(groups)).ok());
+    BaseIndex::Options opt;
+    opt.kiss_root_bits = 16;
+    // The residual reads price from the index payload in one index and
+    // from the base table in the other.
+    ASSERT_TRUE(
+        db_.BuildIndex("items_payload", "items", {"id"}, {"price"}, opt).ok());
+    ASSERT_TRUE(db_.BuildIndex("items_table", "items", {"id"}, {}, opt).ok());
+    ASSERT_TRUE(
+        db_.BuildIndex("groups_pk", "groups", {"id"}, {"grp"}, opt).ok());
+  }
+
+  // The sorted prices (column 1) of the plan's "result" rows.
+  std::vector<double> Prices(std::unique_ptr<Operator> op) {
+    ExecContext ctx(&db_);
+    Plan plan;
+    plan.Add(std::move(op));
+    plan.set_result_slot("result");
+    auto result = plan.Execute(&ctx);
+    EXPECT_TRUE(result.ok()) << result.status();
+    std::vector<double> prices;
+    if (!result.ok()) return prices;
+    for (const auto& row : result->rows) prices.push_back(row[1].AsDouble());
+    std::sort(prices.begin(), prices.end());
+    return prices;
+  }
+
+  Database db_;
+};
+
+TEST_F(DoubleResidualTest, SelectionComparesValues) {
+  auto selection = [](const std::string& index, Residual r) {
+    SelectionSpec sel;
+    sel.input_index = index;
+    sel.predicate = KeyPredicate::All();
+    sel.residuals = {std::move(r)};
+    sel.carry_columns = {"id", "price"};
+    sel.output = {"result", {"id"}, {}};
+    return std::make_unique<SelectionOp>(sel);
+  };
+  using P = std::vector<double>;
+  for (const char* index : {"items_payload", "items_table"}) {
+    EXPECT_EQ(Prices(selection(index, Residual::Ge("price", 2))),
+              (P{2.5, 3.5}))
+        << index;
+    EXPECT_EQ(Prices(selection(index, Residual::Lt("price", 1))),
+              (P{-1.5, 0.5}))
+        << index;
+    EXPECT_EQ(Prices(selection(index, Residual::Lt("price", -1))), (P{-1.5}))
+        << index;
+    EXPECT_EQ(Prices(selection(index, Residual::Between("price", -1, 2))),
+              (P{0.5, 1.5}))
+        << index;
+  }
+}
+
+TEST_F(DoubleResidualTest, SelectJoinComparesValues) {
+  auto select_join = [](const std::string& index, Residual r) {
+    SelectJoinSpec sj;
+    sj.input_index = index;
+    sj.predicate = KeyPredicate::All();
+    sj.residuals = {std::move(r)};
+    sj.left_columns = {"id", "price"};
+    sj.probe_column = "id";
+    sj.right = SideRef::Base("groups_pk");
+    sj.right_columns = {"grp"};
+    sj.output = {"result", {"id"}, {}};
+    return std::make_unique<SelectJoinOp>(sj);
+  };
+  using P = std::vector<double>;
+  for (const char* index : {"items_payload", "items_table"}) {
+    EXPECT_EQ(Prices(select_join(index, Residual::Ge("price", 2))),
+              (P{2.5, 3.5}))
+        << index;
+    EXPECT_EQ(Prices(select_join(index, Residual::Between("price", -2, 1))),
+              (P{-1.5, 0.5}))
+        << index;
+  }
+}
+
 TEST(KissRangesOfTest, WrapsAroundZero) {
   using R = BaseIndex::KissRanges;
   auto check = [](const R& r, std::vector<std::pair<uint32_t, uint32_t>> want) {
