@@ -152,58 +152,40 @@ void BoundAggSpec::Combine(std::byte* payload, const uint64_t* row) const {
   if (has_avg_) slots[terms_.size()] += 1;
 }
 
-void BoundAggSpec::MergeRange(std::byte* dst, const std::byte* const* srcs,
-                              size_t n) const {
+void BoundAggSpec::Merge(std::byte* dst, const std::byte* src) const {
   auto* d = reinterpret_cast<uint64_t*>(dst);
+  const auto* s = reinterpret_cast<const uint64_t*>(src);
   for (size_t i = 0; i < terms_.size(); ++i) {
     const BoundTerm& t = terms_[i];
     switch (t.fn) {
       case AggFn::kCount:
-        for (size_t k = 0; k < n; ++k) {
-          const auto* s = reinterpret_cast<const uint64_t*>(srcs[k]);
-          d[i] = SlotFromInt64(Int64FromSlot(d[i]) + Int64FromSlot(s[i]));
-        }
+        d[i] = SlotFromInt64(Int64FromSlot(d[i]) + Int64FromSlot(s[i]));
         break;
       case AggFn::kSum:
       case AggFn::kAvg:
-        for (size_t k = 0; k < n; ++k) {
-          const auto* s = reinterpret_cast<const uint64_t*>(srcs[k]);
-          if (t.is_double) {
-            d[i] = SlotFromDouble(DoubleFromSlot(d[i]) +
-                                  DoubleFromSlot(s[i]));
-          } else {
-            d[i] = SlotFromInt64(Int64FromSlot(d[i]) + Int64FromSlot(s[i]));
-          }
+        if (t.is_double) {
+          d[i] = SlotFromDouble(DoubleFromSlot(d[i]) + DoubleFromSlot(s[i]));
+        } else {
+          d[i] = SlotFromInt64(Int64FromSlot(d[i]) + Int64FromSlot(s[i]));
         }
         break;
       case AggFn::kMin:
-        for (size_t k = 0; k < n; ++k) {
-          const auto* s = reinterpret_cast<const uint64_t*>(srcs[k]);
-          if (t.is_double) {
-            if (DoubleFromSlot(s[i]) < DoubleFromSlot(d[i])) d[i] = s[i];
-          } else {
-            if (Int64FromSlot(s[i]) < Int64FromSlot(d[i])) d[i] = s[i];
-          }
+        if (t.is_double) {
+          if (DoubleFromSlot(s[i]) < DoubleFromSlot(d[i])) d[i] = s[i];
+        } else {
+          if (Int64FromSlot(s[i]) < Int64FromSlot(d[i])) d[i] = s[i];
         }
         break;
       case AggFn::kMax:
-        for (size_t k = 0; k < n; ++k) {
-          const auto* s = reinterpret_cast<const uint64_t*>(srcs[k]);
-          if (t.is_double) {
-            if (DoubleFromSlot(s[i]) > DoubleFromSlot(d[i])) d[i] = s[i];
-          } else {
-            if (Int64FromSlot(s[i]) > Int64FromSlot(d[i])) d[i] = s[i];
-          }
+        if (t.is_double) {
+          if (DoubleFromSlot(s[i]) > DoubleFromSlot(d[i])) d[i] = s[i];
+        } else {
+          if (Int64FromSlot(s[i]) > Int64FromSlot(d[i])) d[i] = s[i];
         }
         break;
     }
   }
-  if (has_avg_) {
-    for (size_t k = 0; k < n; ++k) {
-      d[terms_.size()] +=
-          reinterpret_cast<const uint64_t*>(srcs[k])[terms_.size()];
-    }
-  }
+  if (has_avg_) d[terms_.size()] += s[terms_.size()];
 }
 
 uint64_t BoundAggSpec::Finalize(const std::byte* payload, size_t i) const {

@@ -126,17 +126,7 @@ class BoundAggSpec {
   // is the partial-state merge the engine's parallel aggregation uses:
   // each worker folds into a private accumulator, and the partials are
   // merged once at the end (sum/count/avg add, min/max compare).
-  void Merge(std::byte* dst, const std::byte* src) const {
-    MergeRange(dst, &src, 1);
-  }
-
-  // Folds `n` source accumulators into `dst` in one pass over the terms —
-  // the inner loop of the key-range-partitioned aggregated merge: a range
-  // worker gathers one group's accumulator from every partial that holds
-  // the key and folds them all at once, hoisting the per-term dispatch
-  // out of the per-partial loop.
-  void MergeRange(std::byte* dst, const std::byte* const* srcs,
-                  size_t n) const;
+  void Merge(std::byte* dst, const std::byte* src) const;
 
   // Reads the finalized value of term `i` (AVG divides by the count slot).
   // `is_double` per-term tells how to interpret the slot.

@@ -160,7 +160,6 @@ Status BaseIndex::Init(const RowTable* table, const Rid* rids, size_t n,
     kind_ = Kind::kKiss;
     KissTree::Config cfg;
     cfg.root_bits = options.kiss_root_bits;
-    cfg.mode = KissTree::PayloadMode::kValues;
     kiss_ = std::make_unique<KissTree>(cfg);
   } else {
     kind_ = Kind::kPrefix;

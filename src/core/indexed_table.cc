@@ -13,8 +13,9 @@ namespace qppt {
 
 namespace {
 
-// A key column is KISS-eligible if it is a single integer-like attribute
-// whose values fit 32 bits (join keys, dictionary codes, dates).
+// A plain table's key column is KISS-eligible if it is a single
+// integer-like attribute whose values fit 32 bits (join keys, dictionary
+// codes, dates).
 bool KissEligible(const std::vector<ValueType>& key_types) {
   return key_types.size() == 1 && key_types[0] != ValueType::kDouble;
 }
@@ -114,23 +115,20 @@ Status IndexedTable::Init(Schema schema,
       }
     }
   }
-  size_t payload = agg_.empty() ? 0 : bound_agg_.payload_size();
-  if (options.prefer_kiss && KissEligible(key_types_)) {
+  if (agg_.empty() && options.prefer_kiss && KissEligible(key_types_)) {
     kind_ = Kind::kKiss;
     KissTree::Config cfg;
     cfg.root_bits = options.kiss_root_bits;
-    cfg.mode = agg_.empty() ? KissTree::PayloadMode::kValues
-                            : KissTree::PayloadMode::kAggregate;
-    cfg.agg_payload_size = payload;
     kiss_ = std::make_unique<KissTree>(cfg);
   } else {
     kind_ = Kind::kPrefix;
     PrefixTree::Config cfg;
     cfg.key_len = encoded_key_len();
     cfg.kprime = options.kprime;
-    cfg.mode = agg_.empty() ? PrefixTree::PayloadMode::kValues
-                            : PrefixTree::PayloadMode::kAggregate;
-    cfg.agg_payload_size = payload;
+    if (!agg_.empty()) {
+      cfg.mode = PrefixTree::PayloadMode::kAggregate;
+      cfg.agg_payload_size = bound_agg_.payload_size();
+    }
     prefix_ = std::make_unique<PrefixTree>(cfg);
   }
   return Status::OK();
@@ -229,187 +227,22 @@ void IndexedTable::MergeFrom(const IndexedTable& other) {
     return;
   }
   num_tuples_ += other.num_tuples_;
-  if (kind_ == Kind::kKiss) {
-    other.kiss_->ScanPayloads([&](uint32_t key, const std::byte* src) {
-      bool created = false;
-      std::byte* dst = kiss_->FindOrCreatePayload(key, &created);
-      if (created) bound_agg_.Init(dst);
-      bound_agg_.Merge(dst, src);
-    });
-  } else {
-    other.prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
-      bool created = false;
-      std::byte* dst = prefix_->FindOrCreatePayload(c.key(), &created);
-      if (created) bound_agg_.Init(dst);
-      bound_agg_.Merge(dst, other.prefix_->PayloadOf(&c));
-    });
-  }
-}
-
-void IndexedTable::PrepareMergeChain(const uint8_t* key,
-                                     size_t branch_bit_off) {
-  assert(kind_ == Kind::kPrefix);
-  prefix_->EnsureChainForMerge(key, branch_bit_off);
-}
-
-uint64_t IndexedTable::BeginParallelMerge(size_t total) {
-  assert(agg_.empty());
-  uint64_t first_id = num_tuples_;
-  rows_.resize((num_tuples_ + total) * schema_.num_columns());
-  if (kind_ == Kind::kKiss) {
-    kiss_->BeginConcurrentInserts();
-  } else {
-    prefix_->BeginConcurrentInserts();
-  }
-  return first_id;
-}
-
-void IndexedTable::MergeRangeFrom(const IndexedTable& other,
-                                  const MergeKeyRange& range,
-                                  uint64_t id_base, MergeShardStats* stats) {
-  assert(kind_ == other.kind_ &&
-         schema_.num_columns() == other.schema_.num_columns());
-  const size_t width = schema_.num_columns();
-  size_t copied = 0;
-  if (kind_ == Kind::kKiss) {
-    other.kiss_->ScanRange(
-        range.kiss_lo, range.kiss_hi,
-        [&](uint32_t key, const KissTree::ValueRef& vals) {
-          vals.ForEach([&](uint64_t src_id) {
-            uint64_t id = id_base + src_id;
-            std::memcpy(rows_.data() + id * width, other.Tuple(src_id),
-                        width * sizeof(uint64_t));
-            if (kiss_->InsertForMerge(key, id)) ++stats->new_keys;
-            ++copied;
-          });
-        });
-  } else {
-    PrefixTree::MergeStats tree_stats;
-    other.prefix_->ScanRange(
-        range.prefix_lo, range.prefix_hi,
-        [&](const PrefixTree::ContentNode& c) {
-          other.prefix_->ValuesOf(&c)->ForEach([&](uint64_t src_id) {
-            uint64_t id = id_base + src_id;
-            std::memcpy(rows_.data() + id * width, other.Tuple(src_id),
-                        width * sizeof(uint64_t));
-            prefix_->InsertForMerge(c.key(), id, &tree_stats);
-            ++copied;
-          });
-        });
-    stats->new_keys += tree_stats.new_keys;
-    stats->new_inner_nodes += tree_stats.new_inner_nodes;
-  }
-  stats->tuples += copied;
-}
-
-void IndexedTable::EndParallelMerge(const MergeShardStats& total,
-                                    uint32_t kiss_lo, uint32_t kiss_hi) {
-  num_tuples_ += total.tuples;
-  if (kind_ == Kind::kKiss) {
-    kiss_->EndConcurrentInserts();
-    kiss_->AddMergedKeyStats(total.new_keys, kiss_lo, kiss_hi);
-  } else {
-    prefix_->EndConcurrentInserts();
-    prefix_->AddMergedKeyStats({total.new_keys, total.new_inner_nodes});
-  }
-}
-
-void IndexedTable::BeginParallelAggMerge() {
-  assert(!agg_.empty());
-  if (kind_ == Kind::kKiss) {
-    kiss_->BeginConcurrentInserts();
-  } else {
-    prefix_->BeginConcurrentInserts();
-  }
-}
-
-void IndexedTable::MergeAggRangeFrom(
-    const std::vector<const IndexedTable*>& partials,
-    const MergeKeyRange& range, MergeShardStats* stats) {
-  assert(!agg_.empty());
-  if (kind_ == Kind::kKiss) {
-    // Bucket-level co-iteration: the range is root-bucket-aligned, so
-    // every partial's groups for one key sit at the same (bucket, slot)
-    // coordinates — gather all their accumulators and fold them into the
-    // destination payload with one MergeRange pass per group.
-    const size_t l2 = kiss_->level2_bits();
-    const size_t fanout = size_t{1} << l2;
-    const uint64_t first_bucket = range.kiss_lo >> l2;
-    const uint64_t last_bucket = range.kiss_hi >> l2;
-    std::vector<uint32_t> handles(partials.size());
-    std::vector<const std::byte*> srcs(partials.size());
-    for (uint64_t b = first_bucket; b <= last_bucket; ++b) {
-      bool any = false;
-      for (size_t p = 0; p < partials.size(); ++p) {
-        handles[p] = partials[p]->kiss_->RootEntry(b);
-        any = any || handles[p] != 0;
-      }
-      if (!any) continue;
-      for (uint32_t slot = 0; slot < fanout; ++slot) {
-        size_t n = 0;
-        for (size_t p = 0; p < partials.size(); ++p) {
-          uint64_t entry = partials[p]->kiss_->Level2Entry(handles[p], slot);
-          if (entry != 0) srcs[n++] = KissTree::EntryPayload(entry);
-        }
-        if (n == 0) continue;
-        uint32_t key = static_cast<uint32_t>((b << l2) | slot);
-        if (key < range.kiss_lo || key > range.kiss_hi) continue;
-        bool created = false;
-        std::byte* dst = kiss_->FindOrCreatePayloadForMerge(key, &created);
-        if (created) {
-          bound_agg_.Init(dst);
-          ++stats->new_keys;
-        }
-        bound_agg_.MergeRange(dst, srcs.data(), n);
-      }
-    }
-  } else {
-    // Prefix trees have no shared slot coordinates across partials, so
-    // each partial's range is folded in turn (the destination lookup
-    // re-finds the group; ranges are subtree-disjoint across workers).
-    PrefixTree::MergeStats tree_stats;
-    for (const IndexedTable* p : partials) {
-      p->prefix_->ScanRange(
-          range.prefix_lo, range.prefix_hi,
-          [&](const PrefixTree::ContentNode& c) {
-            bool created = false;
-            std::byte* dst = prefix_->FindOrCreatePayloadForMerge(
-                c.key(), &created, &tree_stats);
-            if (created) bound_agg_.Init(dst);
-            bound_agg_.Merge(dst, p->prefix_->PayloadOf(&c));
-          });
-    }
-    stats->new_keys += tree_stats.new_keys;
-    stats->new_inner_nodes += tree_stats.new_inner_nodes;
-  }
-}
-
-void IndexedTable::EndParallelAggMerge(const MergeShardStats& total,
-                                       uint32_t kiss_lo, uint32_t kiss_hi,
-                                       size_t folded_tuples) {
-  num_tuples_ += folded_tuples;
-  if (kind_ == Kind::kKiss) {
-    kiss_->EndConcurrentInserts();
-    kiss_->AddMergedKeyStats(total.new_keys, kiss_lo, kiss_hi);
-  } else {
-    prefix_->EndConcurrentInserts();
-    prefix_->AddMergedKeyStats({total.new_keys, total.new_inner_nodes});
-  }
+  other.prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
+    bool created = false;
+    std::byte* dst = GroupPayload(c.key(), &created);
+    if (created) bound_agg_.Init(dst);
+    bound_agg_.Merge(dst, other.prefix_->PayloadOf(&c));
+  });
 }
 
 void IndexedTable::InsertAggregated(const uint64_t* key_slots,
                                     const uint64_t* input_row) {
   assert(!agg_.empty());
   ++num_tuples_;
+  KeyBuf key;
+  EncodeKey(key_slots, &key);
   bool created = false;
-  std::byte* payload;
-  if (kind_ == Kind::kKiss) {
-    payload = kiss_->FindOrCreatePayload(KissKeyOf(key_slots[0]), &created);
-  } else {
-    KeyBuf key;
-    EncodeKey(key_slots, &key);
-    payload = GroupPayload(key.data(), &created);
-  }
+  std::byte* payload = GroupPayload(key.data(), &created);
   if (created) bound_agg_.Init(payload);
   bound_agg_.Combine(payload, input_row);
 }

@@ -4,27 +4,32 @@
 // operators: a set of tuples stored within an in-memory index, keyed on the
 // attribute(s) the *next* operator wants. An IndexedTable owns
 //   - the materialized tuples (packed 64-bit slot rows), and
-//   - the index over them: a KISS-Tree when the key is a single integer
-//     attribute (32-bit join keys — "mostly sufficient", §2.2), else a
-//     generalized prefix tree over the order-preserving composite encoding.
+//   - the index over them: for a plain table, a KISS-Tree when the key is
+//     a single integer attribute (32-bit join keys — "mostly sufficient",
+//     §2.2), else a generalized prefix tree over the order-preserving
+//     composite encoding.
 //
 // Aggregate tables implement aggregation-on-insert: the "tuples" are
 // per-group accumulators living in the index payloads; sorting (the index
 // is order-preserving) and grouping are side effects of output indexing.
+// An aggregate table is always a prefix tree, whatever prefer_kiss says:
+// its keys are the full int64/double group values, so negative groups
+// sort first and values 2^32 apart stay apart (a KISS key keeps only the
+// low 32 bits).
 //
-// A prefix-tree aggregate table also keeps a *group directory*: an
-// open-addressing hash (linear probing, power-of-two size, allocated on
-// the first insert, doubled once more than half full) from the encoded
-// group key to the tree's content node. Every int64 group column encodes
-// as 8 bytes, so a 2- or 3-column key sits 32 or 48 fragment levels deep;
-// InsertAggregated folds a directory hit straight into the node's
-// payload and walks the tree only on a miss. A slot matches when the key
-// bytes stored in its node equal the encoded key, so groups are exactly
-// the tree's (sign flip, double transform). The pointers stay valid
-// because the tree never moves a content node: dynamic expansion relinks
-// the same node one level down. Only InsertAggregated reads or fills the
-// directory (8 B a slot: 16-32 B a group); merges, scans and KISS tables
-// do not use it, and CloneEmpty starts without one.
+// An aggregate table also keeps a *group directory*: an open-addressing
+// hash (linear probing, power-of-two size, allocated on the first
+// insert, doubled once more than half full) from the encoded group key
+// to the tree's content node. Every int64 group column encodes as 8
+// bytes, so a 1- to 3-column key sits 16 to 48 fragment levels deep;
+// InsertAggregated and MergeFrom fold a directory hit straight into the
+// node's payload and walk the tree only on a miss. A slot matches when
+// the key bytes stored in its node equal the encoded key, so groups are
+// exactly the tree's (sign flip, double transform). The pointers stay
+// valid because the tree never moves a content node: dynamic expansion
+// relinks the same node one level down. The directory costs 8 B a slot
+// (16-32 B a group); scans do not use it, and CloneEmpty starts without
+// one.
 //
 // Intermediate tables are query-private: no transactional bookkeeping (§3).
 
@@ -69,7 +74,8 @@ class IndexedTable {
   // An aggregating indexed table: groups keyed on `key_columns` (which
   // must name columns of `key_schema`), with `agg` folded over input
   // tuples of `agg_input` on every insert. The output schema is the key
-  // columns followed by one column per aggregate term.
+  // columns followed by one column per aggregate term. The index is a
+  // prefix tree (options.prefer_kiss does not apply).
   static Result<std::unique_ptr<IndexedTable>> CreateAggregated(
       std::vector<ColumnDef> key_columns, AggSpec agg,
       const Schema& agg_input, Options options);
@@ -133,6 +139,18 @@ class IndexedTable {
   // `key_slots` (one slot per key column).
   void InsertAggregated(const uint64_t* key_slots, const uint64_t* input_row);
 
+  // In-order scan over groups: fn(const uint64_t* out_row) where out_row
+  // has schema(): decoded key columns followed by finalized aggregates.
+  template <typename F>
+  void ScanGroups(F&& fn) const {
+    std::vector<uint64_t> out(schema_.num_columns());
+    prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
+      DecodeKeyInto(c.key(), out.data());
+      FinalizeInto(prefix_->PayloadOf(&c), out.data());
+      fn(out.data());
+    });
+  }
+
   // --- parallel partials (engine layer) ---------------------------------------
 
   // A fresh empty table with identical schema, keys, aggregation, and
@@ -142,108 +160,9 @@ class IndexedTable {
 
   // Folds `other` (a CloneEmpty sibling) into this table: plain tables
   // re-insert the tuples, aggregate tables merge the per-group
-  // accumulators (BoundAggSpec::Merge). Single-threaded.
+  // accumulators (BoundAggSpec::Merge) into the groups the directory
+  // finds. Single-threaded.
   void MergeFrom(const IndexedTable& other);
-
-  // --- key-range-partitioned parallel merge (engine layer) --------------------
-  //
-  // Protocol driven by engine::PartialOutputs: the engine partitions the
-  // union key span of all partials into disjoint ranges
-  // (root-bucket-aligned for KISS; branching-level fragment-aligned
-  // encoded ranges for prefix trees, whose shared-prefix chain
-  // PrepareMergeChain pre-builds) and validates that they tile the span
-  // before touching the destination.
-  //
-  // Plain tables: BeginParallelMerge opens the window and reserves row
-  // storage; each partial owns the contiguous row-id block
-  // [base_p, base_p + num_tuples_p) — base_p is derived from the tuple
-  // counts the partial builds already maintain, so the merge needs no
-  // separate counting pass — and MergeRangeFrom runs concurrently, one
-  // worker per range, copying each source tuple to its pre-assigned id
-  // (base_p + source id). EndParallelMerge closes the window and applies
-  // the summed key statistics.
-  //
-  // Aggregated tables: BeginParallelAggMerge opens the window and each
-  // range worker folds ALL partials' accumulators of its key range into
-  // the destination via MergeAggRangeFrom (BoundAggSpec::MergeRange);
-  // EndParallelAggMerge applies the summed group statistics.
-
-  struct MergeKeyRange {
-    uint32_t kiss_lo = 0;  // kKiss: inclusive key range, whole root buckets
-    uint32_t kiss_hi = 0;
-    // kPrefix: inclusive encoded key range, aligned to whole fragments
-    // at the branching level passed to PrepareMergeChain.
-    uint8_t prefix_lo[KeyBuf::kCapacity] = {};
-    uint8_t prefix_hi[KeyBuf::kCapacity] = {};
-  };
-
-  // Pre-builds the destination chain for the shared encoded-key prefix
-  // (prefix-tree tables only; the table must still be empty).
-  void PrepareMergeChain(const uint8_t* key, size_t branch_bit_off);
-
-  struct MergeShardStats {
-    size_t tuples = 0;
-    size_t new_keys = 0;
-    size_t new_inner_nodes = 0;  // prefix trees only
-  };
-
-  // Reserves row storage for `total` additional tuples and opens the
-  // index's concurrent-insert window. Returns the first new row id.
-  uint64_t BeginParallelMerge(size_t total);
-
-  // Copies `other`'s tuples under `range` into this table at the
-  // pre-assigned row ids `id_base + source id` — `other`'s own row ids
-  // are dense in [0, num_tuples), so `id_base` blocks derived from the
-  // partials' tuple counts cover every destination id exactly once when
-  // the ranges tile the key span — and inserts them into the index.
-  // Safe for concurrent callers on disjoint ranges while the
-  // BeginParallelMerge window is open; counts into `stats`.
-  void MergeRangeFrom(const IndexedTable& other, const MergeKeyRange& range,
-                      uint64_t id_base, MergeShardStats* stats);
-
-  // Closes the window and applies the summed per-shard statistics.
-  // [kiss_lo, kiss_hi] is the union key span merged (kKiss only).
-  void EndParallelMerge(const MergeShardStats& total, uint32_t kiss_lo,
-                        uint32_t kiss_hi);
-
-  // Opens the concurrent-insert window of an aggregated table (no row
-  // storage to reserve — the "tuples" live in the index payloads).
-  void BeginParallelAggMerge();
-
-  // Folds every partial's accumulators under `range` into this
-  // (aggregated) table: per group key, the accumulators of all partials
-  // holding the key merge into the destination payload in one
-  // BoundAggSpec::MergeRange pass. Safe for concurrent callers on
-  // disjoint ranges while the BeginParallelAggMerge window is open;
-  // created groups count into `stats->new_keys`.
-  void MergeAggRangeFrom(const std::vector<const IndexedTable*>& partials,
-                         const MergeKeyRange& range, MergeShardStats* stats);
-
-  // Closes the window and applies the summed group statistics.
-  // `folded_tuples` is the total number of input tuples the partials had
-  // folded (their num_tuples() sum); [kiss_lo, kiss_hi] as above.
-  void EndParallelAggMerge(const MergeShardStats& total, uint32_t kiss_lo,
-                           uint32_t kiss_hi, size_t folded_tuples);
-
-  // In-order scan over groups: fn(const uint64_t* out_row) where out_row
-  // has schema(): decoded key columns followed by finalized aggregates.
-  template <typename F>
-  void ScanGroups(F&& fn) const {
-    std::vector<uint64_t> out(schema_.num_columns());
-    if (kind_ == Kind::kKiss) {
-      kiss_->ScanPayloads([&](uint32_t key, const std::byte* payload) {
-        out[0] = SlotFromInt64(static_cast<int64_t>(key));
-        FinalizeInto(payload, out.data());
-        fn(out.data());
-      });
-    } else {
-      prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
-        DecodeKeyInto(c.key(), out.data());
-        FinalizeInto(prefix_->PayloadOf(&c), out.data());
-        fn(out.data());
-      });
-    }
-  }
 
   // --- key handling (shared with operators) -----------------------------------
 
@@ -281,9 +200,9 @@ class IndexedTable {
   BoundAggSpec bound_agg_;
   std::unique_ptr<KissTree> kiss_;
   std::unique_ptr<PrefixTree> prefix_;
-  std::vector<uint64_t> rows_;  // kValues tuples
+  std::vector<uint64_t> rows_;  // plain tables' tuples
   size_t num_tuples_ = 0;
-  // Group directory (prefix-tree aggregate tables; see the file comment).
+  // Group directory (aggregate tables; see the file comment).
   std::vector<PrefixTree::ContentNode*> group_dir_;
   size_t group_dir_used_ = 0;
 };

@@ -11,7 +11,6 @@ namespace qppt {
 Status HavingOp::Execute(ExecContext* ctx) {
   OperatorStats stats;
   stats.name = name();
-  Timer total;
 
   QPPT_ASSIGN_OR_RETURN(const IndexedTable* input,
                         ctx->Get(spec_.input_slot));
@@ -64,7 +63,6 @@ Status HavingOp::Execute(ExecContext* ctx) {
   });
 
   FillOutputStats(*output, &stats);
-  stats.total_ms = total.ElapsedMs();
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output_slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));
   return Status::OK();

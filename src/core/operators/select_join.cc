@@ -14,7 +14,6 @@ namespace qppt {
 Status SelectJoinOp::Execute(ExecContext* ctx) {
   OperatorStats stats;
   stats.name = name();
-  Timer total;
 
   QPPT_ASSIGN_OR_RETURN(const BaseIndex* index,
                         ctx->db().index(spec_.input_index));
@@ -134,9 +133,7 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
           std::max(stats.materialize_ms, pipelines[w]->materialize_ms());
       stats.index_ms = std::max(stats.index_ms, pipelines[w]->index_ms());
     }
-    Timer merge;
-    stats.merge_morsels = partials.MergeInto(site, output.get());
-    stats.merge_ms = merge.ElapsedMs();
+    stats.merge_ms = partials.MergeInto(site, output.get());
   } else {
     CandidatePipeline pipeline(std::move(assists), width, output.get(),
                                std::move(key_positions),
@@ -174,7 +171,6 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
   }
 
   FillOutputStats(*output, &stats);
-  stats.total_ms = total.ElapsedMs();
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));
   return Status::OK();

@@ -12,7 +12,6 @@ namespace qppt {
 Status SelectionOp::Execute(ExecContext* ctx) {
   OperatorStats stats;
   stats.name = name();
-  Timer total;
 
   QPPT_ASSIGN_OR_RETURN(const BaseIndex* index,
                         ctx->db().index(spec_.input_index));
@@ -97,9 +96,7 @@ Status SelectionOp::Execute(ExecContext* ctx) {
           },
           [](size_t) {});
     }
-    Timer merge;
-    stats.merge_morsels = partials.MergeInto(site, output.get());
-    stats.merge_ms = merge.ElapsedMs();
+    stats.merge_ms = partials.MergeInto(site, output.get());
   } else {
     std::vector<uint64_t> row(width);
     std::vector<uint64_t> key_slots(key_positions.size() + 1);
@@ -169,7 +166,6 @@ Status SelectionOp::Execute(ExecContext* ctx) {
   // estimated from the output index bytes per tuple (coarse, like the
   // demonstrator's internal statistics).
   stats.materialize_ms = materialize_ms;
-  stats.total_ms = total.ElapsedMs();
   stats.index_ms = 0;
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));

@@ -11,7 +11,6 @@ namespace qppt {
 Status IntersectOp::Execute(ExecContext* ctx) {
   OperatorStats stats;
   stats.name = name();
-  Timer total;
 
   QPPT_ASSIGN_OR_RETURN(auto left,
                         BoundSide::Bind(*ctx, spec_.left, spec_.left_columns));
@@ -63,7 +62,6 @@ Status IntersectOp::Execute(ExecContext* ctx) {
   }
 
   FillOutputStats(*output, &stats);
-  stats.total_ms = total.ElapsedMs();
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));
   return Status::OK();
@@ -72,7 +70,6 @@ Status IntersectOp::Execute(ExecContext* ctx) {
 Status UnionDistinctOp::Execute(ExecContext* ctx) {
   OperatorStats stats;
   stats.name = name();
-  Timer total;
 
   QPPT_ASSIGN_OR_RETURN(auto left,
                         BoundSide::Bind(*ctx, spec_.left, spec_.left_columns));
@@ -116,7 +113,6 @@ Status UnionDistinctOp::Execute(ExecContext* ctx) {
   emit_side(right);
 
   FillOutputStats(*output, &stats);
-  stats.total_ms = total.ElapsedMs();
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));
   return Status::OK();

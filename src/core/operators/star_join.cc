@@ -29,7 +29,6 @@ struct ValuePair {
 Status StarJoinOp::Execute(ExecContext* ctx) {
   OperatorStats stats;
   stats.name = name();
-  Timer total;
 
   QPPT_ASSIGN_OR_RETURN(auto left,
                         BoundSide::Bind(*ctx, spec_.left, spec_.left_columns));
@@ -122,8 +121,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   // Shared driver of every parallel branch: per-worker pipelines (each
   // behind its own ring) feeding per-worker partial outputs, one morsel
   // batch (`scan` returns the morsel count; each morsel drains its ring),
-  // then the key-range-partitioned merge — whose wall time is reported
-  // separately so the merge bottleneck stays visible.
+  // then the serial fold of the partials — whose wall time is reported
+  // separately so the merge tail stays visible.
   auto run_parallel = [&](auto&& scan) {
     size_t workers = pool->num_workers();
     engine::PartialOutputs partials(*output, workers);
@@ -144,9 +143,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
           std::max(stats.materialize_ms, pipelines[w]->materialize_ms());
       stats.index_ms = std::max(stats.index_ms, pipelines[w]->index_ms());
     }
-    Timer merge;
-    stats.merge_morsels = partials.MergeInto(site, output.get());
-    stats.merge_ms = merge.ElapsedMs();
+    stats.merge_ms = partials.MergeInto(site, output.get());
   };
 
   auto run_serial = [&](auto&& scan) {
@@ -333,7 +330,6 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   }
 
   FillOutputStats(*output, &stats);
-  stats.total_ms = total.ElapsedMs();
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));
   return Status::OK();

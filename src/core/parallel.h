@@ -118,7 +118,7 @@ inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
 
 // Chops [0, n) into at most `shards` contiguous, non-empty [begin, end)
 // slices differing in size by at most one — the balanced split shared by
-// every morsel and merge-range planner.
+// the morsel drivers.
 inline std::vector<std::pair<size_t, size_t>> SplitEvenly(size_t n,
                                                           size_t shards) {
   std::vector<std::pair<size_t, size_t>> slices;

@@ -45,8 +45,9 @@ Status Plan::Run(ExecContext* ctx) const {
   obs::QueryTrace* trace = ctx->trace();
   Timer total;
   for (const auto& op : operators_) {
-    double t0 = trace != nullptr ? trace->NowUs() : 0.0;
-    Timer op_timer;
+    // The one operator timer: these two clock reads give both
+    // OperatorStats::total_ms and, when traced, the kOperator span.
+    const double t0 = obs::ClockUs(trace);
     size_t before = ctx->stats()->operators.size();
     // Cancellation boundary: once before each operator, and any
     // CancelledException (or injected fault / allocation failure) that
@@ -62,18 +63,19 @@ Status Plan::Run(ExecContext* ctx) const {
       }
     }
     QPPT_RETURN_NOT_OK(op_status);
+    const double t1 = obs::ClockUs(trace);
     // The operator appended its stats entry; stamp the wall time and the
     // planner stage label (when one was assigned).
     if (ctx->stats()->operators.size() == before + 1) {
       OperatorStats& st = ctx->stats()->operators.back();
-      if (st.total_ms == 0) st.total_ms = op_timer.ElapsedMs();
+      st.total_ms = (t1 - t0) / 1000.0;
       st.name = op->display_name();
     }
     if (trace != nullptr) {
       // Whole-operator span on the driver lane: these sum to ~total_ms
       // (morsel spans overlap in time and cannot).
       trace->Record(trace->driver_lane(), op->display_name(),
-                    obs::SpanKind::kOperator, t0, trace->NowUs());
+                    obs::SpanKind::kOperator, t0, t1);
     }
   }
   ctx->stats()->total_ms = total.ElapsedMs();

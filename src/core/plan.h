@@ -55,8 +55,8 @@ struct PlanKnobs {
   // ExecContext is constructed" — the engine session pins earlier, at
   // query admission, so every operator of one flight sees one snapshot.
   Timestamp read_ts = kTsInfinity;
-  // Record a per-query span timeline (every morsel, merge shard, and
-  // operator) into PlanStats::trace — obs/trace.h. Off by default: spans
+  // Record a per-query span timeline (every morsel, partial-output merge
+  // and operator) into PlanStats::trace — obs/trace.h. Off by default: spans
   // are cheap but not free, and most queries only need aggregates.
   bool trace = false;
   // Cooperative cancellation token, or nullptr. The caller owns the token

@@ -31,11 +31,10 @@ std::string PlanStats::ToString() const {
   }
   std::snprintf(line, sizeof(line),
                 "%-28s %9.2f  (wall %.2f ms, %zu thread%s, %llu morsels, "
-                "merge %.2f ms / %llu shards)\n",
+                "merge %.2f ms)\n",
                 "TOTAL", total_ms, wall_ms, threads, threads == 1 ? "" : "s",
                 static_cast<unsigned long long>(TotalMorsels()),
-                TotalMergeMs(),
-                static_cast<unsigned long long>(TotalMergeMorsels()));
+                TotalMergeMs());
   out += line;
   return out;
 }

@@ -37,20 +37,19 @@ class Timer {
 struct OperatorStats {
   std::string name;
   std::string output_desc;       // e.g. "kiss(orderdate) 1.2M tuples"
-  double total_ms = 0;
+  double total_ms = 0;           // set by Plan::Run from the same clock
+                                 // reads that bound its kOperator span
   double materialize_ms = 0;     // gathering/assembling tuples
   double index_ms = 0;           // building the output index
   double merge_ms = 0;           // folding per-worker partial outputs into
-                                 // the final table — covers plain tuple
-                                 // merges AND aggregated accumulator
-                                 // merges (0 = no parallel path)
+                                 // the output table — plain tuples and
+                                 // aggregated accumulators alike (0 = no
+                                 // parallel path)
   uint64_t input_tuples = 0;
   uint64_t output_tuples = 0;
   uint64_t output_keys = 0;      // distinct keys / groups
   uint64_t output_bytes = 0;     // output index memory
   uint64_t morsels = 0;          // engine morsels executed (0 = serial path)
-  uint64_t merge_morsels = 0;    // partitioned-merge shards, plain or
-                                 // aggregated (0 = serial merge)
 };
 
 struct PlanStats {
@@ -89,21 +88,12 @@ struct PlanStats {
     return total;
   }
 
-  // Total wall time spent merging per-worker partial outputs — the
-  // post-fork-join cost the partitioned parallel merge attacks (plain
-  // and aggregated). Reported separately so the merge bottleneck stays
-  // measurable.
+  // Total wall time spent folding per-worker partial outputs (plain and
+  // aggregated) — the serial tail after each fork-join, reported
+  // separately so it stays measurable.
   double TotalMergeMs() const {
     double total = 0;
     for (const auto& op : operators) total += op.merge_ms;
-    return total;
-  }
-
-  // Total partitioned-merge shards across all operators (0 = every
-  // merge ran serially).
-  uint64_t TotalMergeMorsels() const {
-    uint64_t total = 0;
-    for (const auto& op : operators) total += op.merge_morsels;
     return total;
   }
 

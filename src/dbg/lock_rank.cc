@@ -30,7 +30,6 @@ const char* RankName(LockRank rank) {
     case LockRank::kReadBatcher: return "read-batcher";
     case LockRank::kScheduler: return "scheduler";
     case LockRank::kMetrics: return "metrics";
-    case LockRank::kAllocator: return "allocator";
     case LockRank::kFailpoint: return "failpoint";
   }
   return "?";

@@ -61,12 +61,8 @@ enum class LockRank : int {
   // obs::MetricsRegistry::mu_ — metric registration / snapshot. Hot
   // paths touch only atomics; the mutex is for the cold map.
   kMetrics = 900,
-  // Arena / PageArena / CompactSlab / KissTree allocation mutexes
-  // (concurrent-merge windows). Leaf allocators: nothing is ever
-  // acquired under them.
-  kAllocator = 1000,
   // fail::Registry::mu — the failpoint table. Failpoints sit inside the
-  // deepest choke points (including allocator growth paths), so this is
+  // deepest choke points (allocator growth paths included), so this is
   // the innermost rank of all.
   kFailpoint = 1100,
 };

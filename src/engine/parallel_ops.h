@@ -4,13 +4,19 @@
 // index into disjoint morsels (core/parallel.h — deterministic tree
 // partitions need no rebalancing guard), run the operator's tuple loop
 // per morsel on the worker pool with *per-worker* partial output tables,
-// and merge the partials into the real output once at the end. Both
-// output shapes merge key-range-partitioned across the pool (plain
-// tables re-insert tuples at pre-assigned row ids; aggregated tables
-// fold accumulators via BoundAggSpec::MergeRange) — see
-// PartialOutputs::MergeInto. The input trees are never mutated, so
-// concurrent readers need no synchronization. Every driver and merge
-// splits at WorkerPool::morsel_target() (engine/scheduler.h).
+// and fold the partials into the real output once at the end, serially
+// on the operator's thread (PartialOutputs::MergeInto): plain partials
+// re-insert their tuples, aggregated ones fold their accumulators into
+// the output's groups. The input trees are never mutated, so concurrent
+// readers need no synchronization. Every driver splits at
+// WorkerPool::morsel_target() (engine/scheduler.h).
+//
+// The fold is serial because it is cheap: the benchmark workloads'
+// partials hold at most a few thousand groups or a few tens of thousands
+// of tuples, and on a 4-thread box the fold was as fast or faster at
+// every such merge than the key-range-partitioned parallel merge it
+// replaced, without a concurrent-insert mode in the trees or their
+// allocators.
 
 #ifndef QPPT_ENGINE_PARALLEL_OPS_H_
 #define QPPT_ENGINE_PARALLEL_OPS_H_
@@ -18,7 +24,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -38,11 +43,6 @@ namespace qppt::engine {
 // saves on a few thousand tuples.
 inline constexpr size_t kMinParallelInputTuples = 4096;
 
-// Aggregated outputs whose partials hold fewer group entries than this
-// (summed across workers) merge serially — the accumulator fold is
-// per-group work, so a handful of groups cannot amortize the fork-join.
-inline constexpr size_t kMinParallelAggGroups = 64;
-
 // Everything a parallel driver needs to know about its call site: which
 // pool to fork on and — when the query is traced — where and under what
 // stage label to record the spans. The label must outlive the driver
@@ -53,8 +53,9 @@ struct MorselSite {
   obs::QueryTrace* trace = nullptr;  // nullptr = tracing off
   std::string_view label;            // stage label for trace spans
   // Query cancellation token (nullptr = not cancellable). Polled once
-  // per morsel — the morsel boundary is the cancellation granularity of
-  // every parallel driver; per-tuple loops stay check-free.
+  // per morsel and once per partial folded — the morsel boundary is the
+  // cancellation granularity of every parallel driver; per-tuple loops
+  // stay check-free.
   const CancelToken* cancel = nullptr;
 };
 
@@ -84,23 +85,8 @@ void RunMorsels(const MorselSite& site, size_t count, Fn&& fn) {
   });
 }
 
-// Validators for the merge-range plans below (exposed for tests): true
-// iff `ranges` tile a superset of the partials' union key span —
-// non-empty, ascending, gap-free, and covering [span_lo, span_hi]. A
-// plan that fails this check would silently drop tuples (or leave
-// pre-assigned row ids unwritten), so PartialOutputs::MergeInto checks
-// it at runtime — in Release builds too — and falls back to the serial
-// merge instead of corrupting the output.
-namespace merge_detail {
-bool KissRangesCoverSpan(const std::vector<IndexedTable::MergeKeyRange>& ranges,
-                         uint32_t span_lo, uint32_t span_hi);
-bool PrefixRangesCoverSpan(
-    const std::vector<IndexedTable::MergeKeyRange>& ranges, size_t key_len,
-    const uint8_t* span_lo, const uint8_t* span_hi);
-}  // namespace merge_detail
-
-// Per-worker partial outputs of one parallel operator, merged into the
-// final table after the fork-join.
+// Per-worker partial outputs of one parallel operator, folded into the
+// output table after the fork-join.
 class PartialOutputs {
  public:
   PartialOutputs(const IndexedTable& final_table, size_t workers) {
@@ -112,45 +98,15 @@ class PartialOutputs {
 
   IndexedTable* worker(size_t w) { return partials_[w].get(); }
 
-  // Serial fallback: re-insert (plain) / accumulator-merge (aggregated)
-  // each partial in turn.
-  void MergeInto(IndexedTable* final_table) {
-    for (auto& partial : partials_) {
-      final_table->MergeFrom(*partial);
-      partial.reset();  // free per-worker index memory eagerly
-    }
-  }
-
-  // Key-range-partitioned parallel merge: outputs large enough to
-  // amortize the fork-join are merged by range-owning workers — each
-  // worker folds ALL partials' tuples (plain) or group accumulators
-  // (aggregated) of one disjoint key range into the final table
-  // concurrently; small outputs fall back to the serial path above.
-  // Plain merges are single-pass: each partial's tuple count (maintained
-  // by its build) pre-assigns it a contiguous row-id block, so no
-  // separate counting scan runs. A range plan that fails the coverage
-  // validation (merge_detail) also falls back to the serial path.
-  // When the site carries a trace, every merge shard records a kMerge
-  // span under the site's label. Returns the number of merge morsels
-  // executed (0 = serial merge).
-  size_t MergeInto(const MorselSite& site, IndexedTable* final_table);
-  size_t MergeInto(WorkerPool* pool, IndexedTable* final_table) {
-    MorselSite site;
-    site.pool = pool;
-    return MergeInto(site, final_table);
-  }
-
-  // Test hook: mutates every planned range list before validation, so
-  // tests can inject non-covering plans and exercise the runtime
-  // fallback. Pass nullptr to clear. Not thread-safe; tests only.
-  using PlanMutator = std::function<void(
-      std::vector<IndexedTable::MergeKeyRange>*)>;
-  static void SetPlanMutatorForTest(PlanMutator mutator);
+  // Folds every partial into `output` in worker order (IndexedTable::
+  // MergeFrom) and frees it. Before each fold it polls the site's cancel
+  // token, which throws CancelledException. Records one kMerge span on
+  // the trace's driver lane when the site carries a trace, and returns
+  // the fold's wall time in milliseconds (OperatorStats::merge_ms), read
+  // off the same two clock reads as the span.
+  double MergeInto(const MorselSite& site, IndexedTable* output);
 
  private:
-  size_t MergePlainInto(const MorselSite& site, IndexedTable* final_table);
-  size_t MergeAggInto(const MorselSite& site, IndexedTable* final_table);
-
   std::vector<std::unique_ptr<IndexedTable>> partials_;
 };
 

@@ -51,7 +51,7 @@ class WorkerPool {
 
   size_t num_workers() const { return deques_.empty() ? 1 : deques_.size(); }
 
-  // Morsels per worker in every parallel batch and partitioned merge.
+  // Morsels per worker in every parallel batch.
   // Work stealing evens out skewed morsels; the split must also be fine
   // enough that a short query's morsels do not queue long behind those
   // of a concurrent long query (on a 4-thread box, 8 per worker raised

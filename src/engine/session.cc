@@ -678,9 +678,8 @@ Result<std::string> EngineRunner::ExplainAnalyze(const Database& db,
                   static_cast<unsigned long long>(op.output_keys));
     out += buf;
     if (op.morsels > 0) {
-      std::snprintf(buf, sizeof(buf), " | morsels %llu (merge %llu)",
-                    static_cast<unsigned long long>(op.morsels),
-                    static_cast<unsigned long long>(op.merge_morsels));
+      std::snprintf(buf, sizeof(buf), " | morsels %llu",
+                    static_cast<unsigned long long>(op.morsels));
       out += buf;
     }
     out += "\n";

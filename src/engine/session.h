@@ -118,7 +118,7 @@ class EngineRunner {
   // EXPLAIN ANALYZE: plans `spec`, executes it through the normal
   // admission path, and returns the ExplainPlan rendering with each
   // stage line followed by that stage's executed statistics (wall time,
-  // cardinalities, morsel/merge counts) plus a trailing execution
+  // cardinalities, morsel counts, merge time) plus a trailing execution
   // summary. The planner's stage labels guarantee the explain lines and
   // the PlanStats rows align line-for-line. `stats`, when given,
   // receives the same executed statistics (including the trace handle

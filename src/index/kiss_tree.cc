@@ -1,6 +1,5 @@
 #include "index/kiss_tree.h"
 
-#include "dbg/lock_rank.h"
 #include "util/failpoint.h"
 
 #include <bit>
@@ -39,31 +38,22 @@ CompactSlab::~CompactSlab() {
 CompactSlab::CompactSlab(CompactSlab&& other) noexcept
     : chunk_dir_(other.chunk_dir_),
       num_chunks_(other.num_chunks_),
-      used_in_chunk_(other.used_in_chunk_),
-      concurrent_(other.concurrent_),
-      mu_(std::move(other.mu_)) {
+      used_in_chunk_(other.used_in_chunk_) {
   other.chunk_dir_ = nullptr;
   other.num_chunks_ = 0;
   other.used_in_chunk_ = kChunkBytes;
 }
 
 uint32_t CompactSlab::Allocate(size_t bytes) {
-  if (concurrent_) {
-    dbg::RankedLockGuard lock(dbg::LockRank::kAllocator, *mu_);
-    return AllocateLocked(bytes);
-  }
-  return AllocateLocked(bytes);
-}
-
-uint32_t CompactSlab::AllocateLocked(size_t bytes) {
   QPPT_FAILPOINT(slab_grow);
   bytes = (bytes + kGranularity - 1) & ~(kGranularity - 1);
   assert(bytes <= kChunkBytes);
   if (chunk_dir_ == nullptr) {
     // First allocation: map the chunk directory. Tiny virtually
     // (256 KiB), MAP_NORESERVE, and fixed — its slots never move, which
-    // keeps Resolve() safe against concurrent Allocate(), and empty
-    // slabs (every fresh CloneEmpty partial) never pay for it.
+    // keeps a live index's lock-free Resolve() safe against its writer's
+    // Allocate(), and empty slabs (every fresh CloneEmpty partial) never
+    // pay for it.
     void* dir = ::mmap(nullptr, kMaxChunks * sizeof(char*),
                        PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
@@ -247,41 +237,12 @@ void KissTree::AppendToEntry(uint64_t* entry, uint64_t value) {
 }
 
 void KissTree::Insert(uint32_t key, uint64_t value) {
-  assert(config_.mode == PayloadMode::kValues);
   uint64_t* entry = FindOrCreateEntrySlot(key);
   NoteKey(key, *entry == 0);
   AppendToEntry(entry, value);
 }
 
-void KissTree::BeginConcurrentInserts() {
-  slab_.set_concurrent(true);
-  value_arena_.set_concurrent(true);
-  dup_arena_.set_concurrent(true);
-}
-
-void KissTree::EndConcurrentInserts() {
-  slab_.set_concurrent(false);
-  value_arena_.set_concurrent(false);
-  dup_arena_.set_concurrent(false);
-}
-
-bool KissTree::InsertForMerge(uint32_t key, uint64_t value) {
-  assert(config_.mode == PayloadMode::kValues);
-  uint64_t* entry = FindOrCreateEntrySlot(key);
-  bool created = *entry == 0;
-  AppendToEntry(entry, value);
-  return created;
-}
-
-void KissTree::AddMergedKeyStats(size_t new_keys, uint32_t lo, uint32_t hi) {
-  if (new_keys == 0) return;
-  num_keys_ += new_keys;
-  if (lo < min_key_) min_key_ = lo;
-  if (hi > max_key_) max_key_ = hi;
-}
-
 void KissTree::Upsert(uint32_t key, uint64_t value) {
-  assert(config_.mode == PayloadMode::kValues);
   assert(value < (uint64_t{1} << 63));
   uint64_t* entry = FindOrCreateEntrySlot(key);
   NoteKey(key, *entry == 0);
@@ -295,32 +256,6 @@ bool KissTree::Lookup(uint32_t key, ValueRef* out) const {
   if (entry == 0) return false;
   *out = DecodeEntry(entry);
   return true;
-}
-
-std::byte* KissTree::FindOrCreatePayload(uint32_t key, bool* created) {
-  std::byte* payload = FindOrCreatePayloadForMerge(key, created);
-  if (*created) NoteKey(key, true);
-  return payload;
-}
-
-std::byte* KissTree::FindOrCreatePayloadForMerge(uint32_t key,
-                                                 bool* created) {
-  assert(config_.mode == PayloadMode::kAggregate);
-  uint64_t* entry = FindOrCreateEntrySlot(key);
-  if (*entry == 0) {
-    void* payload =
-        value_arena_.AllocateZeroed(config_.agg_payload_size, /*align=*/8);
-    StoreEntry(entry, reinterpret_cast<uint64_t>(payload));
-    *created = true;
-  } else {
-    *created = false;
-  }
-  return reinterpret_cast<std::byte*>(*entry);
-}
-
-const std::byte* KissTree::FindPayload(uint32_t key) const {
-  uint64_t entry = FindEntry(key);
-  return entry == 0 ? nullptr : EntryPayload(entry);
 }
 
 void KissTree::BatchLookup(std::span<LookupJob> jobs) const {

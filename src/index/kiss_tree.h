@@ -20,8 +20,9 @@
 //     pointer, as in the original KISS-Tree.
 //
 // Entries hold either a single inline value (low bit tagged) or a pointer
-// to a §2.4 duplicate ValueList / aggregation payload. Inline values must
-// fit in 63 bits (true for rids and arena offsets).
+// to a §2.4 duplicate ValueList. Inline values must fit in 63 bits (true
+// for rids and arena offsets). Aggregated outputs are prefix trees
+// (core/indexed_table.h), so a KISS-Tree only ever maps keys to values.
 
 #ifndef QPPT_INDEX_KISS_TREE_H_
 #define QPPT_INDEX_KISS_TREE_H_
@@ -31,8 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -53,9 +52,8 @@ namespace qppt {
 // The chunk directory is itself a fixed MAP_NORESERVE mapping (256 KiB
 // virtual for the maximal 32 Ki chunks, created on first Allocate so
 // empty slabs stay free to construct), so Resolve() never observes a
-// reallocating container — the property the partitioned parallel merge
-// relies on when workers Allocate() (mutex-guarded, opt-in) while other
-// workers Resolve() handles concurrently.
+// reallocating container: lock-free readers of a live index resolve
+// handles while its one writer allocates.
 class CompactSlab {
  public:
   static constexpr size_t kChunkBytes = size_t{1} << 20;  // 1 MiB
@@ -73,13 +71,6 @@ class CompactSlab {
   // a non-zero handle. Handles are never freed (the tree's RCU garbage
   // stays in the slab), so every allocation is virgin zero pages.
   uint32_t Allocate(size_t bytes);
-
-  // Same contract as Arena::set_concurrent(): while on, Allocate() is
-  // mutex-guarded so concurrent merge workers can share the slab.
-  void set_concurrent(bool on) {
-    if (on && mu_ == nullptr) mu_ = std::make_unique<std::mutex>();
-    concurrent_ = on;
-  }
 
   void* Resolve(uint32_t handle) {
     uint32_t unit = handle - 1;
@@ -105,19 +96,13 @@ class CompactSlab {
   static constexpr size_t kMaxChunks =
       (uint64_t{1} << 32) / kUnitsPerChunk;
 
-  uint32_t AllocateLocked(size_t bytes);
-
   char** chunk_dir_ = nullptr;  // MAP_NORESERVE array of kMaxChunks slots
   size_t num_chunks_ = 0;
   size_t used_in_chunk_ = kChunkBytes;  // forces allocation on first use
-  bool concurrent_ = false;
-  std::unique_ptr<std::mutex> mu_;  // created lazily by set_concurrent
 };
 
 class KissTree {
  public:
-  enum class PayloadMode : uint8_t { kValues, kAggregate };
-
   // Root entries and level-2 entry slots are shared with lock-free
   // readers: the single writer (engine write path, §7's no-rebalancing
   // argument) publishes with release stores, readers load with acquire.
@@ -145,8 +130,6 @@ class KissTree {
 
   struct Config {
     size_t root_bits = 26;  // level-1 fragment width (paper: 26)
-    PayloadMode mode = PayloadMode::kValues;
-    size_t agg_payload_size = 0;
     // Bitmask-compress level-2 nodes (RCU copy on slot addition). QPPT
     // disables this for dense value ranges (§2.2).
     bool compress = false;
@@ -180,8 +163,6 @@ class KissTree {
   // + touched root pages; the untouched remainder of the 256 MiB root is
   // virtual only).
   size_t MemoryUsage() const;
-
-  // --- kValues mode -------------------------------------------------------
 
   // Appends `value` to the multiset at `key`. value < 2^63.
   void Insert(uint32_t key, uint64_t value);
@@ -226,17 +207,9 @@ class KissTree {
     return Lookup(key, &ignored);
   }
 
-  // --- kAggregate mode ------------------------------------------------------
-
-  // Returns the payload accumulator for `key`, creating a zero-filled one
-  // if absent (*created reports which).
-  std::byte* FindOrCreatePayload(uint32_t key, bool* created);
-  const std::byte* FindPayload(uint32_t key) const;
-
   // --- scans ----------------------------------------------------------------
 
-  // In-order traversal. F: void(uint32_t key, const ValueRef&) for kValues
-  // trees; use ScanPayloads for kAggregate trees.
+  // In-order traversal. F: void(uint32_t key, const ValueRef&).
   template <typename F>
   void ScanAll(F&& fn) const {
     ScanRangeImpl(0, std::numeric_limits<uint32_t>::max(), fn);
@@ -245,10 +218,6 @@ class KissTree {
   void ScanRange(uint32_t lo, uint32_t hi, F&& fn) const {
     ScanRangeImpl(lo, hi, fn);
   }
-
-  // F: void(uint32_t key, const std::byte* payload), ascending key order.
-  template <typename F>
-  void ScanPayloads(F&& fn) const;
 
   // --- batch processing (§2.3) -----------------------------------------------
 
@@ -272,32 +241,8 @@ class KissTree {
   // Batched insert-or-update with the same prefetch pipeline.
   void BatchUpsert(std::span<UpsertJob> jobs);
 
-  // Batched duplicate-append (kValues).
+  // Batched duplicate-append.
   void BatchInsert(std::span<UpsertJob> jobs);
-
-  // --- partitioned parallel merge support (engine layer) ----------------------
-  //
-  // Between BeginConcurrentInserts() and EndConcurrentInserts(),
-  // InsertForMerge() may be called from multiple threads as long as each
-  // caller stays within a disjoint, root-bucket-aligned key range (so no
-  // two callers ever touch the same level-2 node; allocators are
-  // mutex-guarded while the window is open). Key statistics
-  // (num_keys/min/max) are NOT updated by InsertForMerge — callers
-  // accumulate the returned created-key counts and apply them once via
-  // AddMergedKeyStats() after the fork-join.
-
-  void BeginConcurrentInserts();
-  void EndConcurrentInserts();
-  // Appends like Insert(); returns true when `key` was new.
-  bool InsertForMerge(uint32_t key, uint64_t value);
-  // FindOrCreatePayload without the key-statistics update (kAggregate
-  // mode) — the aggregated partitioned merge's per-range workers create
-  // groups concurrently and fold the created-key counts back in via
-  // AddMergedKeyStats() after the fork-join.
-  std::byte* FindOrCreatePayloadForMerge(uint32_t key, bool* created);
-  // Folds externally accumulated key statistics back in. [lo, hi] is the
-  // key span the merged tuples came from (ignored when new_keys == 0).
-  void AddMergedKeyStats(size_t new_keys, uint32_t lo, uint32_t hi);
 
   // --- structural access for the synchronous index scan (§4.2) ---------------
 
@@ -326,13 +271,10 @@ class KissTree {
         node + 1 + static_cast<size_t>(std::popcount(mask & (slot_bit - 1))));
   }
 
-  // Decodes a level-2 entry into a ValueRef (kValues mode).
+  // Decodes a level-2 entry into a ValueRef.
   ValueRef DecodeEntry(uint64_t entry) const {
     if (entry & 1) return ValueRef(entry >> 1, nullptr);
     return ValueRef(0, reinterpret_cast<const ValueList*>(entry));
-  }
-  static const std::byte* EntryPayload(uint64_t entry) {
-    return reinterpret_cast<const std::byte*>(entry);
   }
 
  private:
@@ -377,7 +319,7 @@ class KissTree {
   uint32_t* root_ = nullptr;  // mmap'd, MAP_NORESERVE
   size_t root_map_bytes_ = 0;
   CompactSlab slab_;
-  Arena value_arena_;  // ValueLists and aggregate payload blocks
+  Arena value_arena_;  // ValueList headers
   PageArena dup_arena_;
   std::atomic<size_t> num_keys_{0};
   std::atomic<uint32_t> min_key_{std::numeric_limits<uint32_t>::max()};
@@ -428,21 +370,6 @@ void KissTree::ScanRangeImpl(uint32_t lo, uint32_t hi, F&& fn) const {
       uint32_t key = static_cast<uint32_t>((b << level2_bits_) | slot);
       if (key < lo || key > hi) return;
       fn(key, DecodeEntry(entry));
-    });
-  }
-}
-
-template <typename F>
-void KissTree::ScanPayloads(F&& fn) const {
-  if (num_keys() == 0) return;
-  size_t first_bucket = min_key() >> level2_bits_;
-  size_t last_bucket = max_key() >> level2_bits_;
-  for (size_t b = first_bucket; b <= last_bucket; ++b) {
-    uint32_t handle = LoadRootSlot(&root_[b]);
-    if (handle == CompactSlab::kNullHandle) continue;
-    ForEachLevel2Slot(handle, [&](uint32_t slot, uint64_t entry) {
-      uint32_t key = static_cast<uint32_t>((b << level2_bits_) | slot);
-      fn(key, EntryPayload(entry));
     });
   }
 }

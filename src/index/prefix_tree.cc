@@ -18,11 +18,7 @@ PrefixTree::PrefixTree(Config config)
       node_arena_(/*block_size=*/256 * 1024) {
   assert(config.key_len >= 1 && config.key_len <= KeyBuf::kCapacity);
   assert(config.kprime >= 1 && config.kprime <= 16);
-  MergeStats stats;
-  root_ = NewNode(&stats);
-  // relaxed: advisory stat; construction is single-threaded anyway.
-  num_inner_nodes_.fetch_add(stats.new_inner_nodes,
-                             std::memory_order_relaxed);
+  root_ = NewNode();
 }
 
 PrefixTree::PrefixTree(PrefixTree&& other) noexcept
@@ -44,15 +40,15 @@ PrefixTree::PrefixTree(PrefixTree&& other) noexcept
   other.num_inner_nodes_.store(0, std::memory_order_relaxed);
 }
 
-PrefixTree::Node* PrefixTree::NewNode(MergeStats* stats) {
+PrefixTree::Node* PrefixTree::NewNode() {
   void* mem = node_arena_.AllocateZeroed(fanout_ * sizeof(Slot),
                                          /*align=*/alignof(Slot));
-  ++stats->new_inner_nodes;
+  // relaxed: advisory statistic; the single writer needs no ordering.
+  num_inner_nodes_.fetch_add(1, std::memory_order_relaxed);
   return reinterpret_cast<Node*>(mem);
 }
 
-PrefixTree::ContentNode* PrefixTree::NewContent(const uint8_t* key,
-                                                MergeStats* stats) {
+PrefixTree::ContentNode* PrefixTree::NewContent(const uint8_t* key) {
   void* mem =
       node_arena_.AllocateZeroed(payload_offset_ + payload_size_, /*align=*/8);
   auto* content = reinterpret_cast<ContentNode*>(mem);
@@ -60,13 +56,13 @@ PrefixTree::ContentNode* PrefixTree::NewContent(const uint8_t* key,
   if (config_.mode == PayloadMode::kValues) {
     new (MutableValuesOf(content)) ValueList();
   }
-  ++stats->new_keys;
+  // relaxed: advisory statistic; the single writer needs no ordering.
+  num_keys_.fetch_add(1, std::memory_order_relaxed);
   return content;
 }
 
 PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
-                                                         bool* created,
-                                                         MergeStats* stats) {
+                                                         bool* created) {
   Node* node = root_;
   size_t bit_off = 0;
   for (;;) {
@@ -76,7 +72,7 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
     // Writer-side plain read; mutations are externally serialized.
     Slot& slot = node->slots[frag];
     if (slot == 0) {
-      ContentNode* c = NewContent(key, stats);
+      ContentNode* c = NewContent(key);
       StoreSlot(&slot, reinterpret_cast<uintptr_t>(c) | 1);
       *created = true;
       return c;
@@ -93,7 +89,7 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
       // concurrent reader sees either the old content slot or the
       // complete chain — never an inner node that lost `existing`.
       size_t off = bit_off + width;
-      Node* top = NewNode(stats);
+      Node* top = NewNode();
       Node* inner = top;
       for (;;) {
         size_t w = FragWidth(off);
@@ -103,13 +99,13 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
         if (existing_frag != new_frag) {
           inner->slots[existing_frag] =
               reinterpret_cast<uintptr_t>(existing) | 1;
-          ContentNode* c = NewContent(key, stats);
+          ContentNode* c = NewContent(key);
           inner->slots[new_frag] = reinterpret_cast<uintptr_t>(c) | 1;
           StoreSlot(&slot, reinterpret_cast<uintptr_t>(top));
           *created = true;
           return c;
         }
-        Node* next = NewNode(stats);
+        Node* next = NewNode();
         inner->slots[existing_frag] = reinterpret_cast<uintptr_t>(next);
         inner = next;
         off += w;
@@ -126,37 +122,15 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
 void PrefixTree::Insert(const uint8_t* key, uint64_t value) {
   assert(config_.mode == PayloadMode::kValues);
   bool created = false;
-  MergeStats stats;
-  ContentNode* c = FindOrCreateContent(key, &created, &stats);
-  AddMergedKeyStats(stats);
+  ContentNode* c = FindOrCreateContent(key, &created);
   MutableValuesOf(c)->Append(value, &dup_arena_);
 }
 
 void PrefixTree::Upsert(const uint8_t* key, uint64_t value) {
   assert(config_.mode == PayloadMode::kValues);
   bool created = false;
-  MergeStats stats;
-  ContentNode* c = FindOrCreateContent(key, &created, &stats);
-  AddMergedKeyStats(stats);
+  ContentNode* c = FindOrCreateContent(key, &created);
   MutableValuesOf(c)->ReplaceWith(value);
-}
-
-void PrefixTree::BeginConcurrentInserts() {
-  node_arena_.set_concurrent(true);
-  dup_arena_.set_concurrent(true);
-}
-
-void PrefixTree::EndConcurrentInserts() {
-  node_arena_.set_concurrent(false);
-  dup_arena_.set_concurrent(false);
-}
-
-void PrefixTree::InsertForMerge(const uint8_t* key, uint64_t value,
-                                MergeStats* stats) {
-  assert(config_.mode == PayloadMode::kValues);
-  bool created = false;
-  ContentNode* c = FindOrCreateContent(key, &created, stats);
-  MutableValuesOf(c)->Append(value, &dup_arena_);
 }
 
 std::byte* PrefixTree::FindOrCreatePayload(const uint8_t* key,
@@ -167,72 +141,7 @@ std::byte* PrefixTree::FindOrCreatePayload(const uint8_t* key,
 PrefixTree::ContentNode* PrefixTree::FindOrCreateGroup(const uint8_t* key,
                                                        bool* created) {
   assert(config_.mode == PayloadMode::kAggregate);
-  MergeStats stats;
-  ContentNode* c = FindOrCreateContent(key, created, &stats);
-  AddMergedKeyStats(stats);
-  return c;
-}
-
-std::byte* PrefixTree::FindOrCreatePayloadForMerge(const uint8_t* key,
-                                                   bool* created,
-                                                   MergeStats* stats) {
-  assert(config_.mode == PayloadMode::kAggregate);
-  ContentNode* c = FindOrCreateContent(key, created, stats);
-  return MutablePayloadOf(c);
-}
-
-const PrefixTree::ContentNode* PrefixTree::MinContent() const {
-  if (num_keys() == 0) return nullptr;
-  const Node* node = root_;
-  size_t bit_off = 0;
-  for (;;) {
-    size_t width = FragWidth(bit_off);
-    size_t fanout = size_t{1} << width;
-    size_t i = 0;
-    Slot s = 0;
-    while (i < fanout && (s = LoadSlot(&node->slots[i])) == 0) ++i;
-    assert(i < fanout && "non-empty tree must have a populated slot");
-    if (IsContent(s)) return AsContent(s);
-    node = AsNode(s);
-    bit_off += width;
-  }
-}
-
-const PrefixTree::ContentNode* PrefixTree::MaxContent() const {
-  if (num_keys() == 0) return nullptr;
-  const Node* node = root_;
-  size_t bit_off = 0;
-  for (;;) {
-    size_t width = FragWidth(bit_off);
-    size_t i = size_t{1} << width;
-    Slot s = 0;
-    while (i > 0 && (s = LoadSlot(&node->slots[i - 1])) == 0) --i;
-    assert(i > 0 && "non-empty tree must have a populated slot");
-    if (IsContent(s)) return AsContent(s);
-    node = AsNode(s);
-    bit_off += width;
-  }
-}
-
-void PrefixTree::EnsureChainForMerge(const uint8_t* key,
-                                     size_t branch_bit_off) {
-  assert(num_keys() == 0 && "chain pre-build requires an empty tree");
-  MergeStats stats;
-  Node* node = root_;
-  size_t bit_off = 0;
-  while (bit_off < branch_bit_off) {
-    size_t width = FragWidth(bit_off);
-    uint32_t frag = ExtractFragment(key, config_.key_len, bit_off, width);
-    Slot& slot = node->slots[frag];
-    if (slot == 0) {
-      Node* inner = NewNode(&stats);
-      StoreSlot(&slot, reinterpret_cast<uintptr_t>(inner));
-    }
-    assert(!IsContent(slot));
-    node = AsNode(slot);
-    bit_off += width;
-  }
-  AddMergedKeyStats(stats);
+  return FindOrCreateContent(key, created);
 }
 
 const PrefixTree::ContentNode* PrefixTree::Find(const uint8_t* key) const {

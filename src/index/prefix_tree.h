@@ -155,12 +155,6 @@ class PrefixTree {
   // PayloadOf / ValuesOf.
   const ContentNode* Find(const uint8_t* key) const;
 
-  // Content nodes holding the smallest / largest key (nullptr when
-  // empty). The walk follows the extreme populated slot per level — the
-  // tree is order-preserving, so that slot bounds every deeper subtree.
-  const ContentNode* MinContent() const;
-  const ContentNode* MaxContent() const;
-
   const ValueList* ValuesOf(const ContentNode* c) const {
     return reinterpret_cast<const ValueList*>(
         reinterpret_cast<const uint8_t*>(c) + payload_offset_);
@@ -217,51 +211,9 @@ class PrefixTree {
   };
   void BatchInsert(std::span<InsertJob> jobs);
 
-  // --- partitioned parallel merge support (engine layer) -------------------
-  //
-  // Between BeginConcurrentInserts() and EndConcurrentInserts(),
-  // InsertForMerge() may be called from multiple threads as long as each
-  // caller stays within a disjoint span of *root slots* (disjoint
-  // subtrees; the arenas are mutex-guarded while the window is open).
-  // Tree statistics are NOT updated by InsertForMerge — callers
-  // accumulate them in a MergeStats and apply the sum once via
-  // AddMergedKeyStats() after the fork-join.
-
-  struct MergeStats {
-    size_t new_keys = 0;
-    size_t new_inner_nodes = 0;
-  };
-
-  void BeginConcurrentInserts();
-  void EndConcurrentInserts();
-  // Appends like Insert() (kValues mode), counting into `stats`.
-  void InsertForMerge(const uint8_t* key, uint64_t value, MergeStats* stats);
-  // FindOrCreatePayload (kAggregate mode) with the statistics deferred
-  // into `stats` — the aggregated partitioned merge's per-range workers
-  // create groups within disjoint branching-level subtrees and apply the
-  // summed stats once via AddMergedKeyStats() after the fork-join.
-  std::byte* FindOrCreatePayloadForMerge(const uint8_t* key, bool* created,
-                                         MergeStats* stats);
-  void AddMergedKeyStats(const MergeStats& stats) {
-    // relaxed (both): advisory stats; counter totals need no ordering.
-    num_keys_.fetch_add(stats.new_keys, std::memory_order_relaxed);
-    num_inner_nodes_.fetch_add(stats.new_inner_nodes,
-                               std::memory_order_relaxed);
-  }
-
-  // Pre-builds the inner-node chain along `key`'s fragments for the
-  // levels before `branch_bit_off` (a level boundary). Order-preserving
-  // encodings give all keys of a merge a shared prefix; the chain covers
-  // it, so concurrent InsertForMerge callers — each owning a disjoint
-  // fragment range at the branching level — only ever *read* nodes above
-  // the branch and only write within their own subtrees. Requires an
-  // empty tree; produces exactly the structure serial inserts of keys
-  // branching at `branch_bit_off` would.
-  void EnsureChainForMerge(const uint8_t* key, size_t branch_bit_off);
-
  private:
-  Node* NewNode(MergeStats* stats);
-  ContentNode* NewContent(const uint8_t* key, MergeStats* stats);
+  Node* NewNode();
+  ContentNode* NewContent(const uint8_t* key);
   size_t FragWidth(size_t bit_off) const {
     size_t rest = key_bits_ - bit_off;
     return rest < config_.kprime ? rest : config_.kprime;
@@ -271,12 +223,8 @@ class PrefixTree {
   }
 
   // Core walk shared by all insert paths: returns the content node for
-  // `key`, creating (and dynamically expanding) as needed. Creations are
-  // counted into `stats` (NOT the tree members) so the concurrent merge
-  // path can defer the statistics update; serial callers fold `stats`
-  // into the members immediately.
-  ContentNode* FindOrCreateContent(const uint8_t* key, bool* created,
-                                   MergeStats* stats);
+  // `key`, creating (and dynamically expanding) as needed.
+  ContentNode* FindOrCreateContent(const uint8_t* key, bool* created);
 
   template <typename F>
   void ScanRec(const Node* node, size_t bit_off, F&& fn) const {

@@ -2,7 +2,7 @@
 // (ISSUE 7 tentpole, part 3).
 //
 // When PlanKnobs::trace is set, the engine records one span per executed
-// morsel, per partitioned-merge shard, and per plan operator:
+// morsel, per parallel operator's merge, and per plan operator:
 // {worker, stage label, t_start, t_end}, all relative to the query's
 // trace epoch. TraceToJson() exports the spans in the chrome://tracing /
 // Perfetto "traceEvents" format, so an 8-thread execution can finally be
@@ -10,8 +10,8 @@
 //
 // Concurrency model: one lane per morsel worker plus one driver lane
 // (the client thread running Plan::Run). Each lane is written only by
-// its own thread — workers record their morsels/merge shards, the driver
-// records operator spans — so recording is wait-free and TSan-clean with
+// its own thread — workers record their morsels, the driver records
+// operator and merge spans — so recording is wait-free and TSan-clean with
 // no synchronization beyond the fork-join barriers the scheduler already
 // provides. Span storage is arena-backed (chunked arrays bump-allocated
 // from a per-lane Arena), so a million-span trace costs a handful of
@@ -33,7 +33,7 @@ namespace qppt::obs {
 
 enum class SpanKind : uint8_t {
   kMorsel,    // one scheduler morsel of an operator's scan
-  kMerge,     // one partitioned-merge shard
+  kMerge,     // one operator's fold of its partial outputs (driver lane)
   kOperator,  // one whole plan operator (driver lane)
 };
 
@@ -104,6 +104,16 @@ class QueryTrace {
   Clock::time_point epoch_;
   std::vector<Lane> lanes_;
 };
+
+// Microseconds on `trace`'s clock, or on the steady clock (arbitrary
+// epoch) when `trace` is null. Two reads bound an interval that both a
+// stats timer and, when traced, its span report — so the two agree.
+inline double ClockUs(const QueryTrace* trace) {
+  if (trace != nullptr) return trace->NowUs();
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 // Exports the trace as chrome://tracing / Perfetto JSON: one complete
 // ("ph":"X") event per span with ts/dur in microseconds, tid = lane,

@@ -1,9 +1,6 @@
 #include "util/arena.h"
 
-#include "dbg/lock_rank.h"
 #include "util/failpoint.h"
-
-#include <mutex>
 
 namespace qppt {
 
@@ -16,14 +13,6 @@ uintptr_t AlignUp(uintptr_t v, size_t align) {
 }  // namespace
 
 void* Arena::Allocate(size_t size, size_t align) {
-  if (concurrent_) {
-    dbg::RankedLockGuard lock(dbg::LockRank::kAllocator, *mu_);
-    return AllocateLocked(size, align);
-  }
-  return AllocateLocked(size, align);
-}
-
-void* Arena::AllocateLocked(size_t size, size_t align) {
   uintptr_t current = reinterpret_cast<uintptr_t>(ptr_);
   uintptr_t aligned = AlignUp(current, align);
   size_t needed = (aligned - current) + size;
@@ -66,14 +55,6 @@ void Arena::Reset() {
 }
 
 void* PageArena::Allocate(size_t size) {
-  if (concurrent_) {
-    dbg::RankedLockGuard lock(dbg::LockRank::kAllocator, *mu_);
-    return AllocateLocked(size);
-  }
-  return AllocateLocked(size);
-}
-
-void* PageArena::AllocateLocked(size_t size) {
   if (size == 0) size = 8;
   if (size > kPageSize) {
     QPPT_FAILPOINT(page_arena_grow);

@@ -8,6 +8,11 @@
 // PageArena: allocator for the duplicate-handling segments of Section 2.4;
 // guarantees that no allocation of size <= 4 KiB crosses a 4 KiB page
 // boundary, so that hardware prefetching can stream a whole segment.
+//
+// Neither arena locks: one thread allocates from an arena at a time —
+// an index tree's single writer (a per-worker partial output, the final
+// output its partials fold into serially, a live index under the
+// database write lock) or a trace lane's single recorder.
 
 #ifndef QPPT_UTIL_ARENA_H_
 #define QPPT_UTIL_ARENA_H_
@@ -16,7 +21,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace qppt {
@@ -59,17 +63,6 @@ class Arena {
     return p;
   }
 
-  // Opt-in thread safety for the partitioned parallel merge (engine
-  // layer): while on, Allocate() takes an internal mutex so workers
-  // filling disjoint index subtrees can share the arena. Returned
-  // pointers stay valid and data-race-free either way (blocks are never
-  // moved). Off by default — the serial hot path pays only a branch,
-  // and the mutex is not even allocated until first enabled.
-  void set_concurrent(bool on) {
-    if (on && mu_ == nullptr) mu_ = std::make_unique<std::mutex>();
-    concurrent_ = on;
-  }
-
   // Total bytes handed out by Allocate().
   size_t bytes_allocated() const { return bytes_allocated_; }
   // Total bytes reserved from the system (>= bytes_allocated()).
@@ -85,7 +78,6 @@ class Arena {
   };
 
   char* AllocateNewBlock(size_t min_size);
-  void* AllocateLocked(size_t size, size_t align);
 
   size_t block_size_;
   std::vector<Block> blocks_;
@@ -93,10 +85,6 @@ class Arena {
   char* end_ = nullptr;   // end of current block
   size_t bytes_allocated_ = 0;
   size_t bytes_reserved_ = 0;
-  bool concurrent_ = false;
-  // unique_ptr keeps the arena movable (std::mutex is not); created
-  // lazily by set_concurrent(true).
-  std::unique_ptr<std::mutex> mu_;
 };
 
 // Arena whose allocations never straddle a 4 KiB page boundary (for sizes
@@ -117,27 +105,17 @@ class PageArena {
   // not cross a page boundary.
   void* Allocate(size_t size);
 
-  // Same contract as Arena::set_concurrent().
-  void set_concurrent(bool on) {
-    if (on && mu_ == nullptr) mu_ = std::make_unique<std::mutex>();
-    concurrent_ = on;
-  }
-
   size_t bytes_allocated() const { return bytes_allocated_; }
   size_t bytes_reserved() const { return bytes_reserved_; }
 
  private:
   static constexpr size_t kChunkPages = 64;  // 256 KiB chunks
 
-  void* AllocateLocked(size_t size);
-
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* ptr_ = nullptr;
   char* end_ = nullptr;
   size_t bytes_allocated_ = 0;
   size_t bytes_reserved_ = 0;
-  bool concurrent_ = false;
-  std::unique_ptr<std::mutex> mu_;
 };
 
 }  // namespace qppt

@@ -23,8 +23,8 @@ struct Entry {
 
 // The registry: cold by construction (tests arm a handful of tags; the
 // disarmed fast path never gets here). One mutex at the innermost rank —
-// failpoints fire inside allocator growth paths that already hold
-// kAllocator.
+// a failpoint may fire while its caller holds any other ranked mutex
+// (commit_publish runs under the database write lock).
 struct Registry {
   std::mutex mu;
   std::map<std::string, Entry> entries;

@@ -1,8 +1,8 @@
 // Deterministic fault injection.
 //
 // A failpoint is a named hook compiled into a choke point (allocation
-// growth, merge planning, commit publish, ...) that does nothing until a
-// test arms it. Armed, it can surface a Status, throw, simulate
+// growth, partial-output merges, commit publish, ...) that does nothing
+// until a test arms it. Armed, it can surface a Status, throw, simulate
 // allocation failure, or sleep — optionally probabilistically (seeded
 // RNG, reproducible across runs) and for a bounded number of triggers.
 //
@@ -24,7 +24,7 @@
 // or from the environment (parsed once via fail::ArmFromEnv, which the
 // first EngineRunner construction in a process applies automatically):
 //
-//   QPPT_FAILPOINTS=arena_grow=badalloc:1,merge_plan=status(io)@0.5
+//   QPPT_FAILPOINTS=arena_grow=badalloc:1,merge_partial=status(io)@0.5
 //
 // Syntax per entry: tag=action[(arg)][@probability][:count] where action
 // is status[(code)] | throw | badalloc | sleep(ms); probability defaults

@@ -29,7 +29,7 @@ TEST(LockRankTest, MonotoneAcquisitionPasses) {
   std::mutex a, b, c;
   dbg::RankedLockGuard outer(dbg::LockRank::kDatabaseWrite, a);
   dbg::RankedLockGuard middle(dbg::LockRank::kReadPins, b);
-  dbg::RankedLockGuard inner(dbg::LockRank::kAllocator, c);
+  dbg::RankedLockGuard inner(dbg::LockRank::kFailpoint, c);
 }
 
 TEST(LockRankTest, ReacquireAfterReleasePasses) {

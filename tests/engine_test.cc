@@ -1,6 +1,7 @@
-// Engine-layer unit tests: work-stealing scheduler, per-worker partial
-// output merge, and the shared-scan read batching of the session front
-// door. These (plus parallel_test) are the suite the TSan CI job runs.
+// Engine-layer unit tests: work-stealing scheduler, the serial fold of
+// per-worker partial outputs, and the shared-scan read batching of the
+// session front door. These (plus parallel_test) are the suite the TSan
+// CI job runs.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@
 #include "engine/scheduler.h"
 #include "engine/session.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace qppt {
@@ -130,506 +133,262 @@ TEST(WorkerPoolTest, IdleWorkerStealsFromABlockedOne) {
   EXPECT_GE(after - before, 1u);
 }
 
-// ---- partial outputs & merge -----------------------------------------------
+// ---- partial outputs: the serial fold --------------------------------------
 
-Schema AggInputSchema() {
-  return Schema({{"g", ValueType::kInt64, nullptr},
-                 {"x", ValueType::kInt64, nullptr}});
-}
+// The output shapes a parallel operator folds: plain KISS (single int
+// key), plain prefix (composite key), and aggregated prefix with every
+// aggregate over an int and a double column.
+enum class FoldShape { kKissPlain, kPrefixPlain, kAggregated };
+// How the rows spread over the partials.
+enum class Spread {
+  kOverlapping,  // round-robin: every partial holds most keys
+  kDisjoint,     // partial w holds the w-th key range only
+  kOneSided,     // the last partial holds every row, the others none
+  kNoRows,       // every partial stays empty
+};
 
-AggSpec FullAggSpec() {
-  return AggSpec({{AggFn::kSum, ScalarExpr::Column("x"), "sum_x"},
-                  {AggFn::kCount, ScalarExpr::Column("x"), "cnt"},
-                  {AggFn::kMin, ScalarExpr::Column("x"), "min_x"},
-                  {AggFn::kMax, ScalarExpr::Column("x"), "max_x"},
-                  {AggFn::kAvg, ScalarExpr::Column("x"), "avg_x"}});
-}
-
-// Splitting inserts across CloneEmpty partials and merging must equal
-// inserting everything into one table — for every aggregate function.
-TEST(PartialOutputsTest, AggregateMergeMatchesSerialKiss) {
-  Schema input = AggInputSchema();
-  auto serial_or = IndexedTable::CreateAggregated(
-      {{"g", ValueType::kInt64, nullptr}}, FullAggSpec(), input);
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  ASSERT_EQ(serial->kind(), IndexedTable::Kind::kKiss);
-
-  auto merged = serial->CloneEmpty();
-  engine::PartialOutputs partials(*merged, 3);
-
-  Rng rng(99);
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t g = SlotFromInt64(static_cast<int64_t>(rng.NextBounded(40)));
-    uint64_t x = SlotFromInt64(static_cast<int64_t>(rng.NextBounded(1000)) -
-                               500);
-    uint64_t row[2] = {g, x};
-    serial->InsertAggregated(&g, row);
-    partials.worker(i % 3)->InsertAggregated(&g, row);
+const char* ShapeName(FoldShape shape) {
+  switch (shape) {
+    case FoldShape::kKissPlain: return "kiss plain";
+    case FoldShape::kPrefixPlain: return "prefix plain";
+    case FoldShape::kAggregated: return "prefix aggregated";
   }
-  partials.MergeInto(merged.get());
-
-  EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  std::vector<std::vector<uint64_t>> expected;
-  serial->ScanGroups([&](const uint64_t* row) {
-    expected.emplace_back(row, row + serial->schema().num_columns());
-  });
-  size_t at = 0;
-  merged->ScanGroups([&](const uint64_t* row) {
-    ASSERT_LT(at, expected.size());
-    for (size_t c = 0; c < expected[at].size(); ++c) {
-      EXPECT_EQ(row[c], expected[at][c]) << "group " << at << " col " << c;
-    }
-    ++at;
-  });
-  EXPECT_EQ(at, expected.size());
+  return "?";
 }
 
-TEST(PartialOutputsTest, AggregateMergeMatchesSerialPrefix) {
-  // Two key columns force the prefix-tree path.
-  Schema input = Schema({{"g1", ValueType::kInt64, nullptr},
-                         {"g2", ValueType::kInt64, nullptr},
-                         {"x", ValueType::kInt64, nullptr}});
-  AggSpec agg({{AggFn::kSum, ScalarExpr::Column("x"), "sum_x"},
-               {AggFn::kMin, ScalarExpr::Column("x"), "min_x"}});
-  auto serial_or = IndexedTable::CreateAggregated(
+const char* SpreadName(Spread spread) {
+  switch (spread) {
+    case Spread::kOverlapping: return "overlapping";
+    case Spread::kDisjoint: return "disjoint";
+    case Spread::kOneSided: return "one-sided";
+    case Spread::kNoRows: return "no rows";
+  }
+  return "?";
+}
+
+// Rows are (g1, g2, x, y): int keys g1 >= 0 (a KISS scan of negative
+// keys would walk the whole root) and g2 (negative ones included), an
+// int x and a double y. y is a multiple of 0.25 well below 2^40, so
+// every double sum is exact in any fold order.
+Schema FoldSchema() {
+  return Schema({{"g1", ValueType::kInt64, nullptr},
+                 {"g2", ValueType::kInt64, nullptr},
+                 {"x", ValueType::kInt64, nullptr},
+                 {"y", ValueType::kDouble, nullptr}});
+}
+
+Result<std::unique_ptr<IndexedTable>> CreateFoldTable(FoldShape shape) {
+  switch (shape) {
+    case FoldShape::kKissPlain:
+      return IndexedTable::Create(FoldSchema(), {"g1"});
+    case FoldShape::kPrefixPlain:
+      return IndexedTable::Create(FoldSchema(), {"g1", "g2"});
+    case FoldShape::kAggregated:
+      break;
+  }
+  std::vector<AggTerm> terms;
+  for (const std::string col : {"x", "y"}) {
+    terms.push_back({AggFn::kCount, ScalarExpr::Column(col), "cnt_" + col});
+    terms.push_back({AggFn::kSum, ScalarExpr::Column(col), "sum_" + col});
+    terms.push_back({AggFn::kMin, ScalarExpr::Column(col), "min_" + col});
+    terms.push_back({AggFn::kMax, ScalarExpr::Column(col), "max_" + col});
+    terms.push_back({AggFn::kAvg, ScalarExpr::Column(col), "avg_" + col});
+  }
+  return IndexedTable::CreateAggregated(
       {{"g1", ValueType::kInt64, nullptr}, {"g2", ValueType::kInt64, nullptr}},
-      agg, input);
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  ASSERT_EQ(serial->kind(), IndexedTable::Kind::kPrefix);
+      AggSpec(std::move(terms)), FoldSchema());
+}
 
-  auto merged = serial->CloneEmpty();
-  engine::PartialOutputs partials(*merged, 4);
+std::unique_ptr<IndexedTable> MakeFoldTable(FoldShape shape) {
+  auto table = CreateFoldTable(shape);
+  EXPECT_TRUE(table.ok()) << table.status();
+  return std::move(table).value();
+}
 
-  Rng rng(5);
-  for (int i = 0; i < 3000; ++i) {
-    uint64_t keys[2] = {
-        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(12))),
-        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(9)))};
-    uint64_t row[3] = {keys[0], keys[1],
-                       SlotFromInt64(static_cast<int64_t>(rng.NextBounded(77)))};
-    serial->InsertAggregated(keys, row);
-    partials.worker(i % 4)->InsertAggregated(keys, row);
+// The i-th of kFoldRows rows; with `disjoint`, g1 ascends with i so each
+// contiguous block of rows owns one key range.
+constexpr int kFoldRows = 6000;
+std::vector<uint64_t> FoldRow(int i, bool disjoint, Rng* rng) {
+  int64_t g1 = disjoint ? i / 20 : static_cast<int64_t>(rng->NextBounded(300));
+  int64_t g2 = static_cast<int64_t>(rng->NextBounded(7)) - 3;
+  int64_t x = static_cast<int64_t>(rng->NextBounded(100000)) - 50000;
+  double y = static_cast<double>(rng->NextBounded(4000)) * 0.25 - 500.0;
+  return {SlotFromInt64(g1), SlotFromInt64(g2), SlotFromInt64(x),
+          SlotFromDouble(y)};
+}
+
+void Feed(IndexedTable* table, const std::vector<uint64_t>& row) {
+  if (table->aggregated()) {
+    table->InsertAggregated(row.data(), row.data());
+  } else {
+    table->Insert(row.data());
   }
-  partials.MergeInto(merged.get());
-
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  std::vector<std::vector<uint64_t>> expected;
-  serial->ScanGroups([&](const uint64_t* row) {
-    expected.emplace_back(row, row + serial->schema().num_columns());
-  });
-  size_t at = 0;
-  merged->ScanGroups([&](const uint64_t* row) {
-    ASSERT_LT(at, expected.size());
-    for (size_t c = 0; c < expected[at].size(); ++c) {
-      EXPECT_EQ(row[c], expected[at][c]) << "group " << at << " col " << c;
-    }
-    ++at;
-  });
-  EXPECT_EQ(at, expected.size());
 }
 
-TEST(PartialOutputsTest, PlainMergeKeepsAllTuples) {
-  Schema schema({{"k", ValueType::kInt64, nullptr},
-                 {"v", ValueType::kInt64, nullptr}});
-  auto final_or = IndexedTable::Create(schema, {"k"});
-  ASSERT_TRUE(final_or.ok());
-  auto final_table = std::move(final_or).value();
-  engine::PartialOutputs partials(*final_table, 2);
-  std::multiset<std::pair<int64_t, int64_t>> reference;
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t row[2] = {SlotFromInt64(i % 50), SlotFromInt64(i)};
-    partials.worker(i % 2)->Insert(row);
-    reference.emplace(i % 50, i);
+// The output's rows in scan order. Plain tables leave the order of one
+// key's duplicates unspecified, so their rows are compared as a sorted
+// multiset alongside the scanned key sequence.
+struct Scanned {
+  std::vector<std::vector<uint64_t>> rows;
+  std::vector<std::vector<uint64_t>> keys;  // scan-order key columns
+};
+
+Scanned ScanOutput(const IndexedTable& table) {
+  Scanned out;
+  const size_t width = table.schema().num_columns();
+  auto take = [&](const uint64_t* row) {
+    out.rows.emplace_back(row, row + width);
+    std::vector<uint64_t> key;
+    for (size_t pos : table.key_column_positions()) key.push_back(row[pos]);
+    out.keys.push_back(std::move(key));
+  };
+  if (table.aggregated()) {
+    table.ScanGroups(take);
+  } else {
+    table.ScanInOrder(take);
+    std::sort(out.rows.begin(), out.rows.end());
   }
-  partials.MergeInto(final_table.get());
-  EXPECT_EQ(final_table->num_tuples(), 1000u);
-  std::multiset<std::pair<int64_t, int64_t>> got;
-  int64_t last_key = -1;
-  final_table->ScanInOrder([&](const uint64_t* row) {
-    int64_t k = Int64FromSlot(row[0]);
-    EXPECT_GE(k, last_key);  // still in index order
-    last_key = k;
-    got.emplace(k, Int64FromSlot(row[1]));
-  });
-  EXPECT_EQ(got, reference);
+  return out;
 }
 
-// ---- key-range-partitioned parallel merge ----------------------------------
-
-// Inserting tuples round-robin into N partials, then merging with the
-// partitioned parallel merge, must equal serial insertion — tuples,
-// keys, and index order.
-TEST(PartialOutputsTest, ParallelMergeMatchesSerialKissPlain) {
-  Schema schema({{"k", ValueType::kInt64, nullptr},
-                 {"v", ValueType::kInt64, nullptr}});
-  auto serial_or = IndexedTable::Create(schema, {"k"});
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  ASSERT_EQ(serial->kind(), IndexedTable::Kind::kKiss);
-  auto merged = serial->CloneEmpty();
-
-  engine::WorkerPool pool(4);
-  engine::PartialOutputs partials(*merged, 3);
-  Rng rng(31);
-  constexpr int kTuples = 20000;  // above the parallel-merge threshold
-  for (int i = 0; i < kTuples; ++i) {
-    int64_t k = static_cast<int64_t>(rng.NextBounded(5000));
-    uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(i)};
-    serial->Insert(row);
-    partials.worker(static_cast<size_t>(i) % 3)->Insert(row);
-  }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
-  EXPECT_GT(merge_morsels, 1u) << "parallel merge did not partition";
-
-  EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  std::multiset<std::pair<int64_t, int64_t>> want, got;
-  serial->ScanInOrder([&](const uint64_t* row) {
-    want.emplace(Int64FromSlot(row[0]), Int64FromSlot(row[1]));
-  });
-  int64_t last = -1;
-  merged->ScanInOrder([&](const uint64_t* row) {
-    int64_t k = Int64FromSlot(row[0]);
-    EXPECT_GE(k, last);  // still in ascending index order
-    last = k;
-    got.emplace(k, Int64FromSlot(row[1]));
-  });
-  EXPECT_EQ(got, want);
-}
-
-TEST(PartialOutputsTest, ParallelMergeMatchesSerialPrefixPlain) {
-  // Composite (two-column) key forces the prefix tree; int64 encoding
-  // makes every key share a long prefix, so this also exercises the
-  // branching-level range planning and the chain pre-build.
-  Schema schema({{"k1", ValueType::kInt64, nullptr},
-                 {"k2", ValueType::kInt64, nullptr},
-                 {"v", ValueType::kInt64, nullptr}});
-  auto serial_or = IndexedTable::Create(schema, {"k1", "k2"});
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  ASSERT_EQ(serial->kind(), IndexedTable::Kind::kPrefix);
-  auto merged = serial->CloneEmpty();
-
-  engine::WorkerPool pool(4);
-  engine::PartialOutputs partials(*merged, 4);
-  Rng rng(37);
-  constexpr int kTuples = 20000;
-  for (int i = 0; i < kTuples; ++i) {
-    uint64_t row[3] = {
-        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(12))),
-        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(9))),
-        SlotFromInt64(i)};
-    serial->Insert(row);
-    partials.worker(static_cast<size_t>(i) % 4)->Insert(row);
-  }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
-  EXPECT_GT(merge_morsels, 1u) << "parallel merge did not partition";
-
-  EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  std::multiset<std::vector<int64_t>> want, got;
-  serial->ScanInOrder([&](const uint64_t* row) {
-    want.insert({Int64FromSlot(row[0]), Int64FromSlot(row[1]),
-                 Int64FromSlot(row[2])});
-  });
-  std::vector<int64_t> last_key;
-  merged->ScanInOrder([&](const uint64_t* row) {
-    std::vector<int64_t> key{Int64FromSlot(row[0]), Int64FromSlot(row[1])};
-    EXPECT_GE(key, last_key);  // ascending composite order preserved
-    last_key = key;
-    got.insert({key[0], key[1], Int64FromSlot(row[2])});
-  });
-  EXPECT_EQ(got, want);
-}
-
-// ---- aggregated key-range-partitioned parallel merge ------------------------
-
-// Builds an aggregated table with one term of `fn` over "x", keyed on
-// "g" (KISS) — used by the identity grid below.
-std::unique_ptr<IndexedTable> MakeKissAgg(AggFn fn) {
-  Schema input = AggInputSchema();
-  auto table_or = IndexedTable::CreateAggregated(
-      {{"g", ValueType::kInt64, nullptr}},
-      AggSpec({{fn, ScalarExpr::Column("x"), "out"}}), input);
-  EXPECT_TRUE(table_or.ok());
-  return std::move(table_or).value();
-}
-
-std::unique_ptr<IndexedTable> MakePrefixAgg(AggFn fn) {
-  Schema input = Schema({{"g1", ValueType::kInt64, nullptr},
-                         {"g2", ValueType::kInt64, nullptr},
-                         {"x", ValueType::kInt64, nullptr}});
-  auto table_or = IndexedTable::CreateAggregated(
-      {{"g1", ValueType::kInt64, nullptr}, {"g2", ValueType::kInt64, nullptr}},
-      AggSpec({{fn, ScalarExpr::Column("x"), "out"}}), input);
-  EXPECT_TRUE(table_or.ok());
-  return std::move(table_or).value();
-}
-
-void ExpectSameGroups(const IndexedTable& got, const IndexedTable& want,
+void ExpectSameOutput(const IndexedTable& got, const IndexedTable& want,
                       const std::string& label) {
-  ASSERT_EQ(got.num_tuples(), want.num_tuples()) << label;
-  ASSERT_EQ(got.num_keys(), want.num_keys()) << label;
-  std::vector<std::vector<uint64_t>> expected;
-  want.ScanGroups([&](const uint64_t* row) {
-    expected.emplace_back(row, row + want.schema().num_columns());
-  });
-  size_t at = 0;
-  got.ScanGroups([&](const uint64_t* row) {
-    ASSERT_LT(at, expected.size()) << label;
-    for (size_t c = 0; c < expected[at].size(); ++c) {
-      EXPECT_EQ(row[c], expected[at][c])
-          << label << " group " << at << " col " << c;
-    }
-    ++at;
-  });
-  EXPECT_EQ(at, expected.size()) << label;
+  EXPECT_EQ(got.num_tuples(), want.num_tuples()) << label;
+  EXPECT_EQ(got.num_keys(), want.num_keys()) << label;
+  if (got.kind() == IndexedTable::Kind::kKiss && want.num_keys() > 0) {
+    // The key span bounds every later KISS scan of the output.
+    EXPECT_EQ(got.kiss()->min_key(), want.kiss()->min_key()) << label;
+    EXPECT_EQ(got.kiss()->max_key(), want.kiss()->max_key()) << label;
+  }
+  Scanned g = ScanOutput(got);
+  Scanned w = ScanOutput(want);
+  EXPECT_EQ(g.keys, w.keys) << label << ": key order differs";
+  EXPECT_EQ(g.rows, w.rows) << label << ": rows differ";
 }
 
-// The partitioned aggregated merge must equal the serial accumulator
-// merge for every aggregate kind, both index families, and every worker
-// count — and must actually partition at 8 workers.
-TEST(PartialOutputsTest, AggParallelMergeMatchesSerialAllKindsAndFamilies) {
-  constexpr int kRows = 20000;
-  constexpr int kGroups = 2000;  // >= kMinParallelAggGroups, many buckets
-  for (AggFn fn : {AggFn::kCount, AggFn::kSum, AggFn::kMin, AggFn::kMax}) {
-    for (bool kiss : {true, false}) {
-      for (size_t threads : {1, 2, 8}) {
-        engine::WorkerPool pool(threads);
-        auto serial = kiss ? MakeKissAgg(fn) : MakePrefixAgg(fn);
-        ASSERT_EQ(serial->kind(), kiss ? IndexedTable::Kind::kKiss
-                                       : IndexedTable::Kind::kPrefix);
-        auto merged = serial->CloneEmpty();
-        engine::PartialOutputs partials(*merged, pool.num_workers());
-        Rng rng(fn == AggFn::kCount ? 11 : 12);
-        for (int i = 0; i < kRows; ++i) {
-          int64_t g = static_cast<int64_t>(rng.NextBounded(kGroups));
-          int64_t x = static_cast<int64_t>(rng.NextBounded(100000)) - 50000;
-          if (kiss) {
-            // Spread the groups over many level-2 buckets.
-            uint64_t key = SlotFromInt64(g * 37);
-            uint64_t row[2] = {key, SlotFromInt64(x)};
-            serial->InsertAggregated(&key, row);
-            partials.worker(static_cast<size_t>(i) % pool.num_workers())
-                ->InsertAggregated(&key, row);
-          } else {
-            uint64_t keys[2] = {SlotFromInt64(g / 40), SlotFromInt64(g % 40)};
-            uint64_t row[3] = {keys[0], keys[1], SlotFromInt64(x)};
-            serial->InsertAggregated(keys, row);
-            partials.worker(static_cast<size_t>(i) % pool.num_workers())
-                ->InsertAggregated(keys, row);
+// Folding the partials equals one table fed every row: for both plain
+// index families and the aggregated prefix shape, every spread of rows
+// over the partials, and 1 and 4 workers.
+TEST(PartialOutputsTest, FoldEqualsOneTableFedEveryRow) {
+  for (FoldShape shape : {FoldShape::kKissPlain, FoldShape::kPrefixPlain,
+                          FoldShape::kAggregated}) {
+    for (Spread spread : {Spread::kOverlapping, Spread::kDisjoint,
+                          Spread::kOneSided, Spread::kNoRows}) {
+      for (size_t workers : {1, 4}) {
+        const std::string label = std::string(ShapeName(shape)) + ", " +
+                                  SpreadName(spread) + ", " +
+                                  std::to_string(workers) + " workers";
+        auto reference = MakeFoldTable(shape);
+        auto output = reference->CloneEmpty();
+        engine::PartialOutputs partials(*output, workers);
+        Rng rng(17);
+        const int rows = spread == Spread::kNoRows ? 0 : kFoldRows;
+        for (int i = 0; i < rows; ++i) {
+          auto row = FoldRow(i, spread == Spread::kDisjoint, &rng);
+          size_t w = 0;
+          switch (spread) {
+            case Spread::kOverlapping:
+              w = static_cast<size_t>(i) % workers;
+              break;
+            case Spread::kDisjoint:
+              w = static_cast<size_t>(i) * workers / kFoldRows;
+              break;
+            case Spread::kOneSided:
+            case Spread::kNoRows:
+              w = workers - 1;
+              break;
           }
+          Feed(reference.get(), row);
+          Feed(partials.worker(w), row);
         }
-        size_t merge_morsels = partials.MergeInto(&pool, merged.get());
-        std::string label = std::string(AggFnToString(fn)) +
-                            (kiss ? " kiss" : " prefix") + " t=" +
-                            std::to_string(threads);
-        if (threads >= 8) {
-          EXPECT_GT(merge_morsels, 1u)
-              << label << ": aggregated merge did not partition";
-        }
-        ExpectSameGroups(*merged, *serial, label);
+        double ms = partials.MergeInto(engine::MorselSite{}, output.get());
+        EXPECT_GE(ms, 0.0) << label;
+        ExpectSameOutput(*output, *reference, label);
       }
     }
   }
 }
 
-// Partials whose key spans do not overlap at all (one worker saw only
-// low keys, another only high keys) still merge correctly — the range
-// plan covers the union span, and the clamped outer bounds keep the
-// destination's key statistics exact.
-TEST(PartialOutputsTest, ParallelMergeHandlesDisjointPartialSpans) {
-  Schema schema({{"k", ValueType::kInt64, nullptr},
-                 {"v", ValueType::kInt64, nullptr}});
-  auto serial_or = IndexedTable::Create(schema, {"k"});
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  auto merged = serial->CloneEmpty();
-
-  engine::WorkerPool pool(4);
-  engine::PartialOutputs partials(*merged, 2);
-  constexpr int kTuplesPerSide = 10000;
-  for (int i = 0; i < kTuplesPerSide; ++i) {
-    // Partial 0: keys [3, 103); partial 1: keys [4000003, 4000103).
-    int64_t lo_key = 3 + (i % 100);
-    int64_t hi_key = 4000003 + (i % 100);
-    uint64_t lo_row[2] = {SlotFromInt64(lo_key), SlotFromInt64(i)};
-    uint64_t hi_row[2] = {SlotFromInt64(hi_key), SlotFromInt64(i)};
-    serial->Insert(lo_row);
-    serial->Insert(hi_row);
-    partials.worker(0)->Insert(lo_row);
-    partials.worker(1)->Insert(hi_row);
+// The fold enters every group it creates in the output's group
+// directory, so later inserts fold into the merged groups instead of
+// creating duplicates.
+TEST(PartialOutputsTest, InsertAfterMergeFoldsIntoMergedGroups) {
+  auto reference = MakeFoldTable(FoldShape::kAggregated);
+  auto output = reference->CloneEmpty();
+  engine::PartialOutputs partials(*output, 4);
+  Rng rng(29);
+  for (int i = 0; i < kFoldRows; ++i) {
+    auto row = FoldRow(i, /*disjoint=*/false, &rng);
+    Feed(reference.get(), row);
+    Feed(partials.worker(static_cast<size_t>(i) % 4), row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
-  EXPECT_GT(merge_morsels, 1u);
-  EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  // Clamped outer range bounds keep min/max exact (not bucket-aligned).
-  EXPECT_EQ(merged->kiss()->min_key(), serial->kiss()->min_key());
-  EXPECT_EQ(merged->kiss()->max_key(), serial->kiss()->max_key());
-  std::multiset<std::pair<int64_t, int64_t>> want, got;
-  serial->ScanInOrder([&](const uint64_t* row) {
-    want.emplace(Int64FromSlot(row[0]), Int64FromSlot(row[1]));
-  });
-  merged->ScanInOrder([&](const uint64_t* row) {
-    got.emplace(Int64FromSlot(row[0]), Int64FromSlot(row[1]));
-  });
-  EXPECT_EQ(got, want);
+  (void)partials.MergeInto(engine::MorselSite{}, output.get());
+  const size_t groups = output->num_keys();
+  // Old groups again, then new ones (g1 past the first batch's range).
+  Rng again(29);
+  for (int i = 0; i < kFoldRows; ++i) {
+    auto row = FoldRow(i, /*disjoint=*/false, &again);
+    Feed(reference.get(), row);
+    Feed(output.get(), row);
+  }
+  EXPECT_EQ(output->num_keys(), groups);
+  for (int i = 0; i < 50; ++i) {
+    auto row = FoldRow(i, /*disjoint=*/false, &rng);
+    row[0] = SlotFromInt64(1000 + i);
+    Feed(reference.get(), row);
+    Feed(output.get(), row);
+  }
+  EXPECT_EQ(output->num_keys(), groups + 50);
+  ExpectSameOutput(*output, *reference, "insert after merge");
 }
 
-// ---- Release-mode merge hardening (non-covering range plans) ----------------
-
-// Clears the test-only plan mutator on scope exit so a failing test
-// cannot poison later ones.
-struct PlanMutatorGuard {
-  explicit PlanMutatorGuard(engine::PartialOutputs::PlanMutator m) {
-    engine::PartialOutputs::SetPlanMutatorForTest(std::move(m));
+// A cancelled query's fold throws before it touches the output.
+TEST(PartialOutputsTest, CancelledTokenThrowsBeforeAnyFold) {
+  for (FoldShape shape : {FoldShape::kKissPlain, FoldShape::kAggregated}) {
+    auto output = MakeFoldTable(shape);
+    engine::PartialOutputs partials(*output, 4);
+    Rng rng(31);
+    for (int i = 0; i < 400; ++i) {
+      Feed(partials.worker(static_cast<size_t>(i) % 4),
+           FoldRow(i, /*disjoint=*/false, &rng));
+    }
+    CancelToken token;
+    token.RequestCancel();
+    engine::MorselSite site;
+    site.cancel = &token;
+    EXPECT_THROW((void)partials.MergeInto(site, output.get()),
+                 CancelledException)
+        << ShapeName(shape);
+    EXPECT_EQ(output->num_tuples(), 0u) << ShapeName(shape);
+    EXPECT_EQ(output->num_keys(), 0u) << ShapeName(shape);
   }
-  ~PlanMutatorGuard() {
-    engine::PartialOutputs::SetPlanMutatorForTest(nullptr);
-  }
-};
-
-// A range plan with a hole (a middle range dropped) must be rejected by
-// the runtime coverage check — the merge falls back to the serial path
-// (returns 0 shards) and the result stays complete. This used to be a
-// Debug-only assert that compiled out in Release.
-TEST(PartialOutputsTest, NonCoveringKissPlanFallsBackToSerialMerge) {
-  Schema schema({{"k", ValueType::kInt64, nullptr},
-                 {"v", ValueType::kInt64, nullptr}});
-  auto serial_or = IndexedTable::Create(schema, {"k"});
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  auto merged = serial->CloneEmpty();
-
-  engine::WorkerPool pool(4);
-  engine::PartialOutputs partials(*merged, 3);
-  Rng rng(47);
-  constexpr int kTuples = 20000;
-  for (int i = 0; i < kTuples; ++i) {
-    int64_t k = static_cast<int64_t>(rng.NextBounded(5000));
-    uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(i)};
-    serial->Insert(row);
-    partials.worker(static_cast<size_t>(i) % 3)->Insert(row);
-  }
-  PlanMutatorGuard guard(
-      [](std::vector<IndexedTable::MergeKeyRange>* ranges) {
-        if (ranges->size() > 2) ranges->erase(ranges->begin() + 1);
-      });
-  EXPECT_EQ(partials.MergeInto(&pool, merged.get()), 0u)
-      << "non-covering plan must fall back to the serial merge";
-  EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  std::multiset<std::pair<int64_t, int64_t>> want, got;
-  serial->ScanInOrder([&](const uint64_t* row) {
-    want.emplace(Int64FromSlot(row[0]), Int64FromSlot(row[1]));
-  });
-  merged->ScanInOrder([&](const uint64_t* row) {
-    got.emplace(Int64FromSlot(row[0]), Int64FromSlot(row[1]));
-  });
-  EXPECT_EQ(got, want);
 }
 
-// Same hardening for prefix-tree outputs: a truncated last range (the
-// plan no longer reaches the union max key) is rejected at runtime.
-TEST(PartialOutputsTest, NonCoveringPrefixPlanFallsBackToSerialMerge) {
-  Schema schema({{"k1", ValueType::kInt64, nullptr},
-                 {"k2", ValueType::kInt64, nullptr},
-                 {"v", ValueType::kInt64, nullptr}});
-  auto serial_or = IndexedTable::Create(schema, {"k1", "k2"});
-  ASSERT_TRUE(serial_or.ok());
-  auto serial = std::move(serial_or).value();
-  ASSERT_EQ(serial->kind(), IndexedTable::Kind::kPrefix);
-  auto merged = serial->CloneEmpty();
-
-  engine::WorkerPool pool(4);
-  engine::PartialOutputs partials(*merged, 4);
-  Rng rng(53);
-  constexpr int kTuples = 20000;
-  for (int i = 0; i < kTuples; ++i) {
-    uint64_t row[3] = {
-        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(12))),
-        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(9))),
-        SlotFromInt64(i)};
-    serial->Insert(row);
-    partials.worker(static_cast<size_t>(i) % 4)->Insert(row);
+// A traced fold is one kMerge span on the driver lane, under the site's
+// label, and the returned merge time is that span's duration.
+TEST(PartialOutputsTest, TracedMergeRecordsOneSpan) {
+  auto output = MakeFoldTable(FoldShape::kPrefixPlain);
+  engine::PartialOutputs partials(*output, 4);
+  Rng rng(37);
+  for (int i = 0; i < 2000; ++i) {
+    Feed(partials.worker(static_cast<size_t>(i) % 4),
+         FoldRow(i, /*disjoint=*/false, &rng));
   }
-  PlanMutatorGuard guard(
-      [](std::vector<IndexedTable::MergeKeyRange>* ranges) {
-        if (!ranges->empty()) ranges->pop_back();
-      });
-  EXPECT_EQ(partials.MergeInto(&pool, merged.get()), 0u)
-      << "truncated plan must fall back to the serial merge";
-  EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
-  EXPECT_EQ(merged->num_keys(), serial->num_keys());
-  std::multiset<std::vector<int64_t>> want, got;
-  serial->ScanInOrder([&](const uint64_t* row) {
-    want.insert({Int64FromSlot(row[0]), Int64FromSlot(row[1]),
-                 Int64FromSlot(row[2])});
+  obs::QueryTrace trace(4);
+  engine::MorselSite site;
+  site.trace = &trace;
+  site.label = "sel:fold";
+  const double ms = partials.MergeInto(site, output.get());
+  EXPECT_EQ(output->num_tuples(), 2000u);
+  size_t merges = 0;
+  trace.ForEachSpan([&](const obs::TraceSpan& span) {
+    ASSERT_EQ(span.kind, obs::SpanKind::kMerge);
+    ++merges;
+    EXPECT_EQ(span.worker, trace.driver_lane());
+    EXPECT_STREQ(span.label, "sel:fold");
+    EXPECT_NEAR((span.t_end_us - span.t_start_us) / 1000.0, ms, 1e-9);
   });
-  merged->ScanInOrder([&](const uint64_t* row) {
-    got.insert({Int64FromSlot(row[0]), Int64FromSlot(row[1]),
-                Int64FromSlot(row[2])});
-  });
-  EXPECT_EQ(got, want);
-}
-
-// The coverage validators themselves: gaps, inversions, truncations.
-TEST(MergeRangeValidationTest, DetectsGapsAndTruncations) {
-  using engine::merge_detail::KissRangesCoverSpan;
-  std::vector<IndexedTable::MergeKeyRange> ranges(3);
-  ranges[0].kiss_lo = 10;
-  ranges[0].kiss_hi = 63;
-  ranges[1].kiss_lo = 64;
-  ranges[1].kiss_hi = 127;
-  ranges[2].kiss_lo = 128;
-  ranges[2].kiss_hi = 200;
-  EXPECT_TRUE(KissRangesCoverSpan(ranges, 10, 200));
-  EXPECT_FALSE(KissRangesCoverSpan(ranges, 5, 200));    // span starts below
-  EXPECT_FALSE(KissRangesCoverSpan(ranges, 10, 300));   // span ends above
-  auto gap = ranges;
-  gap.erase(gap.begin() + 1);
-  EXPECT_FALSE(KissRangesCoverSpan(gap, 10, 200));      // hole in the tiling
-  auto inverted = ranges;
-  std::swap(inverted[1].kiss_lo, inverted[1].kiss_hi);
-  EXPECT_FALSE(KissRangesCoverSpan(inverted, 10, 200));
-  EXPECT_FALSE(KissRangesCoverSpan({}, 0, 0));
-}
-
-TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
-  engine::WorkerPool pool(4);
-  // Aggregated output with only a handful of groups: the accumulator
-  // merge is per-group work, so it stays serial below the threshold.
-  Schema input = AggInputSchema();
-  auto agg_or = IndexedTable::CreateAggregated(
-      {{"g", ValueType::kInt64, nullptr}}, FullAggSpec(), input);
-  ASSERT_TRUE(agg_or.ok());
-  auto agg = std::move(agg_or).value();
-  engine::PartialOutputs agg_partials(*agg, 2);
-  for (int i = 0; i < 10000; ++i) {
-    uint64_t g = SlotFromInt64(i % 7);
-    uint64_t row[2] = {g, SlotFromInt64(i)};
-    agg_partials.worker(static_cast<size_t>(i) % 2)->InsertAggregated(&g,
-                                                                      row);
-  }
-  EXPECT_EQ(agg_partials.MergeInto(&pool, agg.get()), 0u);
-  EXPECT_EQ(agg->num_keys(), 7u);
-
-  // Small plain output: below the threshold, stays serial.
-  Schema schema({{"k", ValueType::kInt64, nullptr}});
-  auto small_or = IndexedTable::Create(schema, {"k"});
-  ASSERT_TRUE(small_or.ok());
-  auto small = std::move(small_or).value();
-  engine::PartialOutputs small_partials(*small, 2);
-  for (int i = 0; i < 100; ++i) {
-    uint64_t row[1] = {SlotFromInt64(i)};
-    small_partials.worker(static_cast<size_t>(i) % 2)->Insert(row);
-  }
-  EXPECT_EQ(small_partials.MergeInto(&pool, small.get()), 0u);
-  EXPECT_EQ(small->num_tuples(), 100u);
+  EXPECT_EQ(merges, 1u);
 }
 
 // ---- value morsels over few root buckets -----------------------------------

@@ -68,7 +68,7 @@ std::unique_ptr<Database> MakeDb() {
 }
 
 // Grouped full scan: touches selection, output-table allocation, and —
-// parallel — the morsel driver plus the partitioned merge.
+// parallel — the morsel driver plus the fold of the partial outputs.
 Plan ScanPlan() {
   SelectionSpec sel;
   sel.input_index = "items_by_k";
@@ -81,9 +81,9 @@ Plan ScanPlan() {
   return plan;
 }
 
-// Aggregating variant: group-by-key accumulators allocate payload blocks
-// from the output tree's value arena, reaching the allocation failpoints
-// the plain scan misses.
+// Aggregating variant: group-by-key accumulators live in content nodes
+// of the output prefix tree, allocated from its node arena — reaching
+// the allocation failpoints the plain scan misses.
 Plan AggPlan() {
   SelectionSpec sel;
   sel.input_index = "items_by_k";
@@ -133,9 +133,9 @@ class FaultInjectionTest : public ::testing::Test {
   }
 
   // Runs plans until `tag` fires: the plain scan first, then the
-  // aggregation — different tags live on different paths (allocation
-  // faults need accumulator payloads; merge faults need the plain
-  // partitioned merge).
+  // aggregation — different tags live on different paths (the KISS slab
+  // and duplicate-chain arenas grow under the plain scan, the output
+  // prefix tree's node arena under the aggregation).
   Result<QueryResult> RunUntilHit(EngineRunner& runner, const Database& db,
                                   const char* tag) {
     Plan scan = ScanPlan();
@@ -153,8 +153,8 @@ TEST_F(FaultInjectionTest, QueryPathFaultsSurfaceAsStatusAndRecover) {
   auto db = MakeDb();
   EngineRunner runner(ParallelConfig());
   const char* tags[] = {
-      "arena_grow", "page_arena_grow", "slab_grow",  "merge_plan",
-      "merge_shard", "morsel_exec",    "sched_submit",
+      "arena_grow",    "page_arena_grow", "slab_grow",
+      "merge_partial", "morsel_exec",     "sched_submit",
   };
   for (const char* tag : tags) {
     SCOPED_TRACE(tag);
@@ -306,7 +306,7 @@ TEST_F(FaultInjectionTest, ChaosRunDegradesCleanlyUnderConcurrency) {
   cfg.admission_timeout_ms = 200;
   EngineRunner runner(cfg);
 
-  for (const char* tag : {"arena_grow", "merge_shard", "morsel_exec",
+  for (const char* tag : {"arena_grow", "merge_partial", "morsel_exec",
                           "commit_publish", "sched_submit"}) {
     fail::FailConfig config;
     config.action = tag == std::string("commit_publish")
@@ -384,7 +384,7 @@ TEST_F(FaultInjectionTest, ChaosRunDegradesCleanlyUnderConcurrency) {
 // working configs, and malformed input is rejected.
 TEST_F(FaultInjectionTest, ArmFromEnvParsesTheDocumentedSyntax) {
   setenv("QPPT_FAILPOINTS",
-         "arena_grow=badalloc:1,merge_plan=status(io)@0.5,"
+         "arena_grow=badalloc:1,merge_partial=status(io)@0.5,"
          "sched_submit=sleep(2):3,commit_publish=throw(resource_exhausted)",
          1);
   ASSERT_TRUE(fail::ArmFromEnv().ok());

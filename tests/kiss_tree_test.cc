@@ -57,10 +57,7 @@ struct KissParam {
 class KissTreeProperty : public ::testing::TestWithParam<KissParam> {
  protected:
   KissTree::Config ValuesConfig() const {
-    return {.root_bits = GetParam().root_bits,
-            .mode = KissTree::PayloadMode::kValues,
-            .agg_payload_size = 0,
-            .compress = GetParam().compress};
+    return {.root_bits = GetParam().root_bits, .compress = GetParam().compress};
   }
 };
 
@@ -212,49 +209,9 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.compress ? "_compressed" : "_uncompressed");
     });
 
-// ---- aggregate mode ---------------------------------------------------------------
-
-TEST(KissTreeTest, AggregatePayloads) {
-  KissTree tree({.root_bits = 20,
-                 .mode = KissTree::PayloadMode::kAggregate,
-                 .agg_payload_size = 16,
-                 .compress = false});
-  Rng rng(6);
-  std::map<uint32_t, int64_t> reference;
-  for (int i = 0; i < 10000; ++i) {
-    uint32_t key = rng.Next32() % 256;  // few groups, many updates
-    int64_t delta = rng.NextInRange(-100, 100);
-    bool created = false;
-    std::byte* p = tree.FindOrCreatePayload(key, &created);
-    auto* acc = reinterpret_cast<int64_t*>(p);
-    if (created) {
-      acc[0] = 0;
-      acc[1] = 0;
-    }
-    acc[0] += delta;
-    acc[1] += 1;
-    reference[key] += delta;
-  }
-  EXPECT_EQ(tree.num_keys(), reference.size());
-  size_t visited = 0;
-  uint32_t prev_key = 0;
-  tree.ScanPayloads([&](uint32_t key, const std::byte* p) {
-    if (visited > 0) {
-      EXPECT_GT(key, prev_key);
-    }
-    prev_key = key;
-    ++visited;
-    EXPECT_EQ(reinterpret_cast<const int64_t*>(p)[0], reference.at(key));
-  });
-  EXPECT_EQ(visited, reference.size());
-}
-
 TEST(KissTreeTest, DenseSequentialKeysUncompressed) {
   // The dense case QPPT optimizes for by disabling compression (§2.2).
-  KissTree tree({.root_bits = 20,
-                 .mode = KissTree::PayloadMode::kValues,
-                 .agg_payload_size = 0,
-                 .compress = false});
+  KissTree tree({.root_bits = 20, .compress = false});
   constexpr uint32_t kN = 100000;
   for (uint32_t i = 0; i < kN; ++i) tree.Upsert(i, i);
   EXPECT_EQ(tree.num_keys(), kN);
@@ -268,14 +225,8 @@ TEST(KissTreeTest, DenseSequentialKeysUncompressed) {
 }
 
 TEST(KissTreeTest, CompressedUsesLessMemoryOnSparseKeys) {
-  KissTree sparse_compressed({.root_bits = 26,
-                              .mode = KissTree::PayloadMode::kValues,
-                              .agg_payload_size = 0,
-                              .compress = true});
-  KissTree sparse_flat({.root_bits = 26,
-                        .mode = KissTree::PayloadMode::kValues,
-                        .agg_payload_size = 0,
-                        .compress = false});
+  KissTree sparse_compressed({.root_bits = 26, .compress = true});
+  KissTree sparse_flat({.root_bits = 26, .compress = false});
   Rng rng(7);
   for (int i = 0; i < 20000; ++i) {
     uint32_t key = rng.Next32();
@@ -288,10 +239,7 @@ TEST(KissTreeTest, CompressedUsesLessMemoryOnSparseKeys) {
 }
 
 TEST(KissTreeTest, MoveTransfersOwnership) {
-  KissTree a({.root_bits = 20,
-              .mode = KissTree::PayloadMode::kValues,
-              .agg_payload_size = 0,
-              .compress = false});
+  KissTree a({.root_bits = 20, .compress = false});
   a.Insert(1, 10);
   KissTree b(std::move(a));
   KissTree::ValueRef ref;

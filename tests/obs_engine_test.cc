@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -98,6 +99,47 @@ TEST_F(ObsEngineTest, TracedQ41CoversMultipleWorkers) {
   EXPECT_NE(json.find("\"driver\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"morsel\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"operator\""), std::string::npos);
+}
+
+// One clock per operator: Plan::Run reads the same two instants for an
+// operator's total_ms and its kOperator span, and PartialOutputs::
+// MergeInto for merge_ms and its one kMerge span on the driver lane.
+TEST_F(ObsEngineTest, OperatorTimesAreTheirSpans) {
+  engine::EngineConfig cfg;
+  cfg.threads = 4;
+  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
+  engine::EngineRunner runner(cfg);
+  PlanKnobs knobs;
+  knobs.trace = true;
+  PlanStats stats;
+  auto result = RunQppt(runner, *data_, "4.1", knobs, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_NE(stats.trace, nullptr);
+
+  std::map<std::string, std::vector<double>> operator_spans;
+  std::map<std::string, std::vector<double>> merge_spans;
+  stats.trace->ForEachSpan([&](const obs::TraceSpan& span) {
+    const double ms = (span.t_end_us - span.t_start_us) / 1000.0;
+    if (span.kind == obs::SpanKind::kOperator) {
+      operator_spans[span.label].push_back(ms);
+    } else if (span.kind == obs::SpanKind::kMerge) {
+      EXPECT_EQ(span.worker, stats.trace->driver_lane()) << span.label;
+      merge_spans[span.label].push_back(ms);
+    }
+  });
+  size_t parallel_ops = 0;
+  for (const OperatorStats& op : stats.operators) {
+    ASSERT_EQ(operator_spans[op.name].size(), 1u) << op.name;
+    EXPECT_NEAR(op.total_ms, operator_spans[op.name][0], 1e-6) << op.name;
+    if (op.morsels == 0) {
+      EXPECT_TRUE(merge_spans[op.name].empty()) << op.name;
+      continue;
+    }
+    ++parallel_ops;
+    ASSERT_EQ(merge_spans[op.name].size(), 1u) << op.name;
+    EXPECT_NEAR(op.merge_ms, merge_spans[op.name][0], 1e-6) << op.name;
+  }
+  EXPECT_GT(parallel_ops, 0u) << stats.ToString();
 }
 
 TEST_F(ObsEngineTest, TraceAbsentUnlessRequested) {

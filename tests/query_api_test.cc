@@ -1,6 +1,7 @@
 // Query-API unit tests: QueryBuilder -> QuerySpec -> planner on a tiny
 // non-SSB star, spec validation errors, ORDER-BY strategy, parameter
-// re-binding, and the prepared-query plan cache.
+// re-binding, the prepared-query plan cache, and group keys across index
+// families.
 
 #include <gtest/gtest.h>
 
@@ -420,6 +421,59 @@ TEST(QueryApiWideGroupTest, RejectsMoreGroupColumnsThanAKeyHolds) {
   ASSERT_TRUE(four.ok()) << four.status();
   // id mod 2, 3, 5, 7 determine id mod 210: every id is its own group.
   EXPECT_EQ(four->rows.size(), 100u);
+}
+
+// Group keys keep their sign and their full 64-bit width whatever index
+// family the planner prefers: GROUP BY g ORDER BY g returns -2..2 in
+// order, and 1 and 1 + 2^32 stay two groups. (An aggregated KISS output
+// once returned 0, 1, 2, 4294967294, 4294967295 and merged 1 + 2^32
+// into 1: a KISS key keeps only the low 32 bits.)
+TEST(GroupKeyTest, KeepsSignAndWidthWithAndWithoutKiss) {
+  Database db;
+  Schema schema({{"id", ValueType::kInt64, nullptr},
+                 {"g", ValueType::kInt64, nullptr},
+                 {"wide", ValueType::kInt64, nullptr}});
+  auto table = std::make_unique<RowTable>(schema, "t");
+  constexpr int64_t kRows = 1000;
+  const int64_t two32 = int64_t{1} << 32;
+  for (int64_t i = 0; i < kRows; ++i) {
+    uint64_t row[3] = {SlotFromInt64(i), SlotFromInt64(i % 5 - 2),
+                       SlotFromInt64(i % 2 == 0 ? 1 : 1 + two32)};
+    table->AppendRow(row);
+  }
+  ASSERT_TRUE(db.AddTable(std::move(table)).ok());
+  ASSERT_TRUE(db.BuildIndex("t_by_id", "t", {"id"}, {"g", "wide"}).ok());
+  auto spec = [](const std::string& group) {
+    query::QueryBuilder b("test.group_" + group);
+    b.From("t").FactIndex("t_by_id").FactColumns({"g", "wide"}).Where(
+        KeyPredicate::Range(0, kRows - 1));
+    b.GroupBy({group}).Aggregate(AggFn::kCount, {}, "n");
+    query::QuerySpec built = std::move(b).Build();
+    built.order_by = {{group, false}};
+    return built;
+  };
+
+  engine::EngineRunner runner;
+  for (bool prefer_kiss : {true, false}) {
+    SCOPED_TRACE(prefer_kiss ? "prefer_kiss on" : "prefer_kiss off");
+    PlanKnobs knobs;
+    knobs.table_options.prefer_kiss = prefer_kiss;
+    auto signed_groups = runner.Execute(db, spec("g"), knobs);
+    ASSERT_TRUE(signed_groups.ok()) << signed_groups.status();
+    ASSERT_EQ(signed_groups->rows.size(), 5u);
+    for (int64_t g = -2; g <= 2; ++g) {
+      const auto& row = signed_groups->rows[static_cast<size_t>(g + 2)];
+      EXPECT_EQ(row[0].AsInt(), g);
+      EXPECT_EQ(row[1].AsInt(), kRows / 5);
+    }
+    auto wide_groups = runner.Execute(db, spec("wide"), knobs);
+    ASSERT_TRUE(wide_groups.ok()) << wide_groups.status();
+    ASSERT_EQ(wide_groups->rows.size(), 2u);
+    EXPECT_EQ(wide_groups->rows[0][0].AsInt(), 1);
+    EXPECT_EQ(wide_groups->rows[1][0].AsInt(), 1 + two32);
+    EXPECT_EQ(wide_groups->rows[0][1].AsInt(), kRows / 2);
+    EXPECT_EQ(wide_groups->rows[1][1].AsInt(), kRows / 2);
+  }
 }
 
 TEST_F(QueryApiTest, EngineExecutesSpecsDirectly) {
