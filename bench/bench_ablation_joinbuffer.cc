@@ -1,9 +1,10 @@
 // E7 — ablation: joinbuffer size (§4.2, demonstrator appendix).
 //
 // The demonstrator exposes the joinbuffer/selectionbuffer size as
-// {1 (none), 64, 512, 2048}. Buffered probes run as §2.3 batch lookups
-// that hide memory latency; "a too low or a too high size affects the
-// performance negatively". Measured on SSB Q2.3 (Fig. 5's plan) and Q4.1.
+// {1 (none), 64, 512, 2048}. Probes run as §2.3 batch lookups that hide
+// memory latency — size 1 runs batches of one, which leaves nothing to
+// overlap; "a too low or a too high size affects the performance
+// negatively". Measured on SSB Q2.3 (Fig. 5's plan) and Q4.1.
 
 #include <cstdio>
 

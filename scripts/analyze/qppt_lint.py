@@ -53,8 +53,9 @@ a compile error in every target of the root CMake build.
                      CancelTicker, ExecContext or MorselSite (a cancel
                      source) and which scans — calls SynchronousScan,
                      SynchronousScanRange, SynchronousScanPairSlots,
-                     ScanAll, ScanGroups, ForEachMatch or ForEachMatchIn,
-                     or runs a loop nested in another loop — must poll:
+                     ScanAll, ScanGroups or ForEachKey (the BaseIndex key
+                     enumerator), or runs a loop nested in another loop —
+                     must poll:
                      Tick()/Check() on a cancel object, CheckCancel*, or
                      a call that passes its MorselSite (the drivers poll
                      per morsel). Lambdas belong to their enclosing
@@ -140,7 +141,7 @@ CANCEL_SOURCE_RE = re.compile(
     r"\b(?:CancelToken|CancelTicker|ExecContext|MorselSite)\b")
 SCAN_CALL_RE = re.compile(
     r"\b(?:SynchronousScan|SynchronousScanRange|SynchronousScanPairSlots"
-    r"|ScanAll|ScanGroups|ForEachMatch|ForEachMatchIn)"
+    r"|ScanAll|ScanGroups|ForEachKey)"
     r"\s*(?:<[^;{}()]*>\s*)?\(")
 LOOP_RE = re.compile(r"\b(?:for|while|do)\b")
 # Tick()/Check() on an object named for cancellation, and CheckCancel*.

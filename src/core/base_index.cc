@@ -282,6 +282,21 @@ void BaseIndex::EncodeKey(const uint64_t* key_slots, KeyBuf* out) const {
   }
 }
 
+Status BaseIndex::CheckKeyPredicate(const KeyPredicate& predicate,
+                                    const CompositeRange& composite) const {
+  if (!composite.empty()) {
+    if (composite.size() == num_key_columns()) return Status::OK();
+    return Status::InvalidArgument(
+        "composite_range must give one (lo, hi) pair per index key column");
+  }
+  if (predicate.kind == KeyPredicate::Kind::kAll || num_key_columns() == 1) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "a point, IN or range key predicate needs a single-column index; use "
+      "a composite range on a multidimensional one");
+}
+
 // ---- Database ---------------------------------------------------------------
 
 Status Database::AddTable(std::unique_ptr<RowTable> table) {

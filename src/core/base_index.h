@@ -1,8 +1,9 @@
 // Base indexes over row tables (§3).
 //
 // Leaf operators access base data through prefix-tree-based *base indexes*
-// that either already exist or are created once and stay in the data pool.
-// Two payload flavors (§3):
+// that either already exist or are created once and stay in the data pool,
+// and read their keys through one enumerator (ForEachKey) for every key
+// predicate and both tree families. Two payload flavors (§3):
 //   - secondary index:           payload = record identifier (rid) only;
 //     attribute access costs a random read into the row table.
 //   - partially clustered index: payload = rid plus a partial record of
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/key_encoder.h"
@@ -39,6 +41,31 @@
 #include "util/status.h"
 
 namespace qppt {
+
+// Predicate on the (single-column) key of a base index.
+struct KeyPredicate {
+  enum class Kind : uint8_t { kAll, kPoint, kRange, kIn };
+  Kind kind = Kind::kAll;
+  int64_t point = 0;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  std::vector<int64_t> in_points;  // kIn: a set (duplicates are ignored)
+
+  static KeyPredicate All() { return {}; }
+  static KeyPredicate Point(int64_t v) {
+    return {Kind::kPoint, v, 0, 0, {}};
+  }
+  static KeyPredicate Range(int64_t lo, int64_t hi) {
+    return {Kind::kRange, 0, lo, hi, {}};
+  }
+  static KeyPredicate In(std::vector<int64_t> points) {
+    return {Kind::kIn, 0, 0, 0, std::move(points)};
+  }
+};
+
+// Conjunctive predicates over a multidimensional base index (§4.1): one
+// inclusive (lo, hi) pair per key column.
+using CompositeRange = std::vector<std::pair<int64_t, int64_t>>;
 
 class BaseIndex {
  public:
@@ -163,9 +190,6 @@ class BaseIndex {
   // --- key handling ------------------------------------------------------------
 
   void EncodeKey(const uint64_t* key_slots, KeyBuf* out) const;
-  static uint32_t KissKeyOf(uint64_t slot) {
-    return static_cast<uint32_t>(Int64FromSlot(slot));
-  }
 
   // The KISS keys a range predicate lo <= v <= hi selects, under the same
   // modulo-2^32 rule KissKeyOf applies to equality: the keys
@@ -196,105 +220,62 @@ class BaseIndex {
   }
 
   // --- scans ----------------------------------------------------------------------
-  //
-  // F: void(uint64_t value). Single-key-column convenience paths; operators
-  // needing composite keys use the trees directly.
-
-  // Exact match on ALL key components of a multidimensional index
-  // (§4.1: conjunctive predicates prefer a multidimensional index as
-  // input). `key_slots` holds one slot per key column.
-  template <typename F>
-  void ForEachMatchComposite(const uint64_t* key_slots, F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      ForEachMatch(key_slots[0], fn);
-      return;
-    }
-    KeyBuf key;
-    EncodeKey(key_slots, &key);
-    const ValueList* vals = prefix_->Lookup(key.data());
-    if (vals != nullptr) vals->ForEach(fn);
-  }
-
-  // Range scan on the composite encoding: all keys in
-  // [lo_slots, hi_slots] (component-wise lexicographic order). With the
-  // trailing components spanning their full domain this is a prefix scan.
-  template <typename F>
-  void ForEachInCompositeRange(const uint64_t* lo_slots,
-                               const uint64_t* hi_slots, F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      ForEachInRange(lo_slots[0], hi_slots[0], fn);
-      return;
-    }
-    KeyBuf lo, hi;
-    EncodeKey(lo_slots, &lo);
-    EncodeKey(hi_slots, &hi);
-    prefix_->ScanRange(lo.data(), hi.data(),
-                       [&](const PrefixTree::ContentNode& c) {
-                         prefix_->ValuesOf(&c)->ForEach(fn);
-                       });
-  }
 
   size_t num_key_columns() const { return key_cols_.size(); }
 
-  template <typename F>
-  void ForEachMatch(uint64_t key_slot, F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      KissTree::ValueRef vals;
-      if (kiss_->Lookup(KissKeyOf(key_slot), &vals)) vals.ForEach(fn);
-    } else {
-      KeyBuf key;
-      EncodeKey(&key_slot, &key);
-      const ValueList* vals = prefix_->Lookup(key.data());
-      if (vals != nullptr) vals->ForEach(fn);
-    }
-  }
+  // OK when ForEachKey can run `predicate` (or `composite`, when it is
+  // not empty) on this index: a composite range gives one (lo, hi) pair
+  // per key column, and a point, IN or range predicate needs a
+  // single-column key. InvalidArgument otherwise.
+  Status CheckKeyPredicate(const KeyPredicate& predicate,
+                           const CompositeRange& composite) const;
 
-  // IN-list match: the values of each distinct index key among `points`,
-  // once — IN is a set, and on a KISS index points equal modulo 2^32 are
-  // one key (KissKeyOf). Keys are visited in ascending key order.
+  // The one key enumerator of the leaf operators: calls
+  // fn(const KissTree::ValueRef& values) for each index key that
+  // `predicate` selects (on a prefix index, ValueRef wraps the key's
+  // ValueList). A non-empty `composite` replaces the predicate with one
+  // (lo, hi) pair per key column, scanned as the lexicographic range of
+  // the composite encoding (§4.1) — a superset of the box that callers
+  // check per value. IN is a set: each distinct key once, in ascending
+  // key order. A KISS index applies KissKeyOf to points and
+  // KissRangesOf to ranges (a composite range reads column 0 only).
+  // Callers check the predicate first (CheckKeyPredicate).
   template <typename F>
-  void ForEachMatchIn(const std::vector<int64_t>& points, F&& fn) const {
-    std::vector<int64_t> keys(points);
-    if (kind_ == Kind::kKiss) {
-      for (int64_t& k : keys) k = KissKeyOf(SlotFromInt64(k));
+  void ForEachKey(const KeyPredicate& predicate,
+                  const CompositeRange& composite, F&& fn) const {
+    if (!composite.empty()) {
+      ScanKeys(composite.data(), fn);
+      return;
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (int64_t k : keys) ForEachMatch(SlotFromInt64(k), fn);
-  }
-
-  template <typename F>
-  void ForEachInRange(uint64_t lo_slot, uint64_t hi_slot, F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      KissRanges ranges =
-          KissRangesOf(Int64FromSlot(lo_slot), Int64FromSlot(hi_slot));
-      for (size_t i = 0; i < ranges.count; ++i) {
-        kiss_->ScanRange(ranges.lo[i], ranges.hi[i],
-                         [&](uint32_t, const KissTree::ValueRef& vals) {
-                           vals.ForEach(fn);
-                         });
+    switch (predicate.kind) {
+      case KeyPredicate::Kind::kAll:
+        if (kind_ == Kind::kKiss) {
+          kiss_->ScanAll(
+              [&](uint32_t, const KissTree::ValueRef& vals) { fn(vals); });
+        } else {
+          prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
+            fn(KissTree::ValueRef(0, prefix_->ValuesOf(&c)));
+          });
+        }
+        return;
+      case KeyPredicate::Kind::kPoint:
+        LookupKey(SlotFromInt64(predicate.point), fn);
+        return;
+      case KeyPredicate::Kind::kRange: {
+        const std::pair<int64_t, int64_t> bounds{predicate.lo, predicate.hi};
+        ScanKeys(&bounds, fn);
+        return;
       }
-    } else {
-      KeyBuf lo, hi;
-      EncodeKey(&lo_slot, &lo);
-      EncodeKey(&hi_slot, &hi);
-      prefix_->ScanRange(lo.data(), hi.data(),
-                         [&](const PrefixTree::ContentNode& c) {
-                           prefix_->ValuesOf(&c)->ForEach(fn);
-                         });
-    }
-  }
-
-  template <typename F>
-  void ForEachValue(F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      kiss_->ScanAll([&](uint32_t, const KissTree::ValueRef& vals) {
-        vals.ForEach(fn);
-      });
-    } else {
-      prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
-        prefix_->ValuesOf(&c)->ForEach(fn);
-      });
+      case KeyPredicate::Kind::kIn: {
+        std::vector<int64_t> keys(predicate.in_points);
+        if (kind_ == Kind::kKiss) {
+          for (int64_t& k : keys) k = KissKeyOf(SlotFromInt64(k));
+        }
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+        for (int64_t k : keys) LookupKey(SlotFromInt64(k), fn);
+        return;
+      }
     }
   }
 
@@ -317,6 +298,47 @@ class BaseIndex {
   // KissKeyOf key, or the EncodeKey encoding.
   void KeyOf(Rid rid, KeyBuf* out) const;
   void InsertKey(const uint8_t* key, uint64_t value);
+
+  // ForEachKey's point lookup and range scan (one (lo, hi) pair per key
+  // column in `bounds`; a KISS index reads the first).
+  template <typename F>
+  void LookupKey(uint64_t key_slot, F& fn) const {
+    if (kind_ == Kind::kKiss) {
+      KissTree::ValueRef vals;
+      if (kiss_->Lookup(KissKeyOf(key_slot), &vals)) fn(vals);
+      return;
+    }
+    KeyBuf key;
+    EncodeKey(&key_slot, &key);
+    if (const ValueList* vals = prefix_->Lookup(key.data())) {
+      fn(KissTree::ValueRef(0, vals));
+    }
+  }
+  template <typename F>
+  void ScanKeys(const std::pair<int64_t, int64_t>* bounds, F& fn) const {
+    if (kind_ == Kind::kKiss) {
+      KissRanges ranges = KissRangesOf(bounds[0].first, bounds[0].second);
+      for (size_t i = 0; i < ranges.count; ++i) {
+        kiss_->ScanRange(ranges.lo[i], ranges.hi[i],
+                         [&](uint32_t, const KissTree::ValueRef& vals) {
+                           fn(vals);
+                         });
+      }
+      return;
+    }
+    uint64_t lo[KeyBuf::kCapacity / 8], hi[KeyBuf::kCapacity / 8];
+    for (size_t i = 0; i < key_cols_.size(); ++i) {
+      lo[i] = SlotFromInt64(bounds[i].first);
+      hi[i] = SlotFromInt64(bounds[i].second);
+    }
+    KeyBuf lo_key, hi_key;
+    EncodeKey(lo, &lo_key);
+    EncodeKey(hi, &hi_key);
+    prefix_->ScanRange(lo_key.data(), hi_key.data(),
+                       [&](const PrefixTree::ContentNode& c) {
+                         fn(KissTree::ValueRef(0, prefix_->ValuesOf(&c)));
+                       });
+  }
 
   Kind kind_ = Kind::kPrefix;
   const RowTable* table_ = nullptr;

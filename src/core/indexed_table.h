@@ -166,11 +166,6 @@ class IndexedTable {
 
   // --- key handling (shared with operators) -----------------------------------
 
-  // The 32-bit KISS key for `slot` (valid for kKiss tables).
-  static uint32_t KissKeyOf(uint64_t slot) {
-    return static_cast<uint32_t>(Int64FromSlot(slot));
-  }
-
   // Encodes key column slots into `out` for prefix-tree tables.
   void EncodeKey(const uint64_t* key_slots, KeyBuf* out) const;
   size_t encoded_key_len() const { return key_types_.size() * 8; }

@@ -132,13 +132,13 @@ void CandidatePipeline::Process() {
       assist.side.Fill(assist_value,
                        next_stage_.data() + at + assist.carry_offset);
     };
-    if (kiss != nullptr && buffer_rows_ > 1) {
-      // Batched probes with prefetch pipelining (the joinbuffer payoff).
+    if (kiss != nullptr) {
+      // Batched probes with prefetch pipelining (the joinbuffer payoff;
+      // a buffer of 1 runs batches of one).
       jobs_.clear();
       jobs_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        jobs_[i].key = IndexedTable::KissKeyOf(
-            (*rows)[i * width_ + assist.probe_pos]);
+        jobs_[i].key = KissKeyOf((*rows)[i * width_ + assist.probe_pos]);
       }
       kiss->BatchLookup(jobs_);
       for (size_t i = 0; i < n; ++i) {
@@ -147,18 +147,7 @@ void CandidatePipeline::Process() {
         jobs_[i].values.ForEach(
             [&](uint64_t v) { expand(row, v); });
       }
-    } else if (kiss != nullptr) {
-      // Unbuffered point probes (joinbuffer size 1, the "none" setting).
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t* row = rows->data() + i * width_;
-        KissTree::ValueRef values;
-        if (!kiss->Lookup(IndexedTable::KissKeyOf(row[assist.probe_pos]),
-                          &values)) {
-          continue;
-        }
-        values.ForEach([&](uint64_t v) { expand(row, v); });
-      }
-    } else if (buffer_rows_ > 1) {
+    } else {
       // Prefix-tree assist, batched: the encoded probes walk the tree
       // level-synchronously with software prefetching (§2.3,
       // Algorithm 1), the same joinbuffer payoff the KISS probes get.
@@ -178,18 +167,6 @@ void CandidatePipeline::Process() {
         const uint64_t* row = rows->data() + i * width_;
         prefix->ValuesOf(prefix_jobs_[i].result)
             ->ForEach([&](uint64_t v) { expand(row, v); });
-      }
-    } else {
-      // Prefix-tree assist: encoded single-attribute point probes.
-      const PrefixTree* prefix = assist.side.prefix();
-      KeyBuf key;
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t* row = rows->data() + i * width_;
-        key.clear();
-        key.AppendI64(Int64FromSlot(row[assist.probe_pos]));
-        const ValueList* values = prefix->Lookup(key.data());
-        if (values == nullptr) continue;
-        values->ForEach([&](uint64_t v) { expand(row, v); });
       }
     }
     rows->swap(next_stage_);

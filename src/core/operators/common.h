@@ -115,27 +115,6 @@ class BoundSide {
   std::vector<ColumnDef> defs_;
 };
 
-// Predicate on the (single-column) key of a base index.
-struct KeyPredicate {
-  enum class Kind : uint8_t { kAll, kPoint, kRange, kIn };
-  Kind kind = Kind::kAll;
-  int64_t point = 0;
-  int64_t lo = 0;
-  int64_t hi = 0;
-  std::vector<int64_t> in_points;  // kIn: a set (duplicates are ignored)
-
-  static KeyPredicate All() { return {}; }
-  static KeyPredicate Point(int64_t v) {
-    return {Kind::kPoint, v, 0, 0, {}};
-  }
-  static KeyPredicate Range(int64_t lo, int64_t hi) {
-    return {Kind::kRange, 0, lo, hi, {}};
-  }
-  static KeyPredicate In(std::vector<int64_t> points) {
-    return {Kind::kIn, 0, 0, 0, std::move(points)};
-  }
-};
-
 // Residual comparison evaluated per qualifying tuple (conjunctive with the
 // key predicate and with each other). Values are int64 slots — dictionary
 // codes for string columns; a double column compares its decoded value
@@ -229,7 +208,7 @@ inline constexpr size_t kStagingDepth = 16;
 // direct resolution row for row. T is what one arrival stages: a
 // (left, right) pair in the star join, one value in the select-join.
 // Each worker pipeline owns one ring, drained (Pop) at the end of every
-// morsel and, serially, before CandidatePipeline::Finish. The ring holds
+// morsel (an inline run is one morsel). The ring holds
 // values only and never allocates. Operators stage only when a bound
 // side is staged() (a live index): clustered and intermediate inputs
 // read sequentially, and staging every base side (prefetching rows a

@@ -26,7 +26,7 @@ struct SelectionSpec {
   // one (lo, hi) pair per key column, lexicographic range on the
   // composite encoding. Overrides `predicate` when non-empty; size must
   // equal the index's key-column count. A point match is lo == hi.
-  std::vector<std::pair<int64_t, int64_t>> composite_range;
+  CompositeRange composite_range;
   std::vector<Residual> residuals;  // conjunctive, on any table column
   // Columns the output tuples carry (must include the output keys;
   // resolution prefers the index's included payload over the base table).

@@ -60,13 +60,31 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
 
   stats.input_tuples = left.num_input_tuples() + right.num_input_tuples();
 
-  // Serial scans poll the cancel token every kCancelStride emitted
-  // pairs, mirroring the selection/select-join loops: the ticker throws
-  // CancelledException and Plan::Run converts it back to a Status. The
-  // parallel branches poll per morsel inside the drivers instead (the
-  // ticker is not thread-safe), so only run_serial arms the pointer.
-  CancelTicker serial_cancel(ctx->cancel());
-  CancelTicker* serial_ticker = nullptr;
+  // Forking pays off when the side driving the scan is big enough. A
+  // mixed KISS/prefix pair scans the prefix side's keys, but the bulk of
+  // the work is emitting the KISS side's duplicate lists — a huge fact
+  // main joined through a tiny dimension intermediate still parallelizes
+  // by splitting the dimension's keys (and their emit work) across
+  // morsels — so it forks on EITHER side being big.
+  const bool mixed = left.is_kiss() != right.is_kiss();
+  const uint64_t scanned =
+      mixed ? std::max(left.num_input_tuples(), right.num_input_tuples())
+            : left.num_input_tuples();
+  // The label must outlive the driver calls below (trace spans name it).
+  const std::string site_label = display_name();
+  engine::MorselSite site{
+      .pool = scanned >= engine::kMinParallelInputTuples ? ctx->worker_pool()
+                                                         : nullptr,
+      .trace = ctx->trace(),
+      .label = site_label,
+      .cancel = ctx->cancel()};
+
+  // An inline scan polls the cancel token every kCancelStride emitted
+  // pairs; the ticker throws CancelledException and Plan::Run converts it
+  // back to a Status. A forked scan polls per morsel inside the driver
+  // instead (the ticker is not thread-safe).
+  CancelTicker inline_cancel(ctx->cancel());
+  CancelTicker* ticker = site.pool == nullptr ? &inline_cancel : nullptr;
 
   // Resolves one matched pair into an assembled candidate row.
   auto resolve_pair = [&](CandidatePipeline* pipeline, const ValuePair& p) {
@@ -87,7 +105,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   const bool staged = left.staged() || right.staged();
   auto emit_pair = [&](CandidatePipeline* pipeline,
                        StagingRing<ValuePair>* ring, uint64_t l, uint64_t r) {
-    if (serial_ticker != nullptr) serial_ticker->Tick();
+    if (ticker != nullptr) ticker->Tick();
     ValuePair pair{l, r};
     if (staged) {
       left.Prefetch(l);
@@ -96,150 +114,72 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     }
     resolve_pair(pipeline, pair);
   };
-  // Resolves a worker's staged pairs: at the end of every morsel (so the
-  // morsel's span covers its work) and, serially, before Finish().
+  // Resolves a worker's staged pairs at the end of every morsel, so the
+  // morsel's span covers its work.
   auto drain = [&](CandidatePipeline* pipeline, StagingRing<ValuePair>* ring) {
     ValuePair pair{};
     while (ring->Pop(&pair)) resolve_pair(pipeline, pair);
   };
 
-  engine::WorkerPool* pool = ctx->worker_pool();
-  // The label must outlive the driver calls below (trace spans name it).
-  const std::string site_label = display_name();
-  engine::MorselSite site{.pool = pool,
-                          .trace = ctx->trace(),
-                          .label = site_label,
-                          .cancel = ctx->cancel()};
-  // Forking pays off when the side driving the scan is big enough; the
-  // mixed branch overrides this with the KISS (scanned) side's size.
-  auto worth_forking = [&](uint64_t scanned_tuples) {
-    return pool != nullptr && ctx->knobs().threads > 1 &&
-           scanned_tuples >= engine::kMinParallelInputTuples;
-  };
-  const bool parallel = worth_forking(left.num_input_tuples());
-
-  // Shared driver of every parallel branch: per-worker pipelines (each
-  // behind its own ring) feeding per-worker partial outputs, one morsel
-  // batch (`scan` returns the morsel count; each morsel drains its ring),
-  // then the serial fold of the partials — whose wall time is reported
+  // Per-worker pipelines, each behind its own ring and feeding its
+  // worker's partial output, then the fold, whose wall time is reported
   // separately so the merge tail stays visible.
-  auto run_parallel = [&](auto&& scan) {
-    size_t workers = pool->num_workers();
-    engine::PartialOutputs partials(*output, workers);
-    std::vector<std::unique_ptr<CandidatePipeline>> pipelines;
-    pipelines.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pipelines.push_back(std::make_unique<CandidatePipeline>(
-          assists, width, partials.worker(w), key_positions,
-          ctx->knobs().join_buffer_size));
-    }
-    std::vector<StagingRing<ValuePair>> rings(workers);
-    stats.morsels = scan(pipelines, rings);
-    // Per-phase times overlap across workers; report the slowest worker
-    // (the critical path), which stays comparable to total_ms.
-    for (size_t w = 0; w < workers; ++w) {
-      pipelines[w]->Finish();
-      stats.materialize_ms =
-          std::max(stats.materialize_ms, pipelines[w]->materialize_ms());
-      stats.index_ms = std::max(stats.index_ms, pipelines[w]->index_ms());
-    }
-    stats.merge_ms = partials.MergeInto(site, output.get());
-  };
-
-  auto run_serial = [&](auto&& scan) {
-    serial_ticker = &serial_cancel;
-    CandidatePipeline pipeline(assists, width, output.get(), key_positions,
-                               ctx->knobs().join_buffer_size);
-    StagingRing<ValuePair> ring;
-    scan(&pipeline, &ring);
-    drain(&pipeline, &ring);
-    pipeline.Finish();
-    stats.materialize_ms = pipeline.materialize_ms();
-    stats.index_ms = pipeline.index_ms();
-  };
+  const size_t workers = site.workers();
+  engine::PartialOutputs partials(site, output.get());
+  std::vector<std::unique_ptr<CandidatePipeline>> pipelines;
+  pipelines.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    pipelines.push_back(std::make_unique<CandidatePipeline>(
+        assists, width, partials.worker(w), key_positions,
+        ctx->knobs().join_buffer_size));
+  }
+  std::vector<StagingRing<ValuePair>> rings(workers);
 
   if (!left.is_kiss() && !right.is_kiss()) {
-    // Prefix-tree mains: structural synchronous scan. The parallel path
-    // splits the trees at their branching level into disjoint subtree
-    // pair morsels (§7: deterministic key positions, no rebalancing).
+    // Prefix-tree mains: structural synchronous scan, split at the trees'
+    // branching level into disjoint subtree pair morsels (§7:
+    // deterministic key positions, no rebalancing).
     const PrefixTree& lp = *left.prefix();
     const PrefixTree& rp = *right.prefix();
-    auto emit_lists = [&](CandidatePipeline* pipeline,
-                          StagingRing<ValuePair>* ring, const ValueList* lv,
-                          const ValueList* rv) {
-      lv->ForEach([&](uint64_t l) {
-        rv->ForEach([&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
-      });
-    };
-    if (parallel) {
-      run_parallel([&](auto& pipelines, auto& rings) {
-        return engine::RunPrefixPairMorsels(
-            site, lp, rp,
-            [&](size_t w, const PairScanLevel& level, size_t begin,
-                size_t end) {
-              CandidatePipeline* pipeline = pipelines[w].get();
-              SynchronousScanPairSlots(
-                  lp, rp, level, begin, end,
-                  [&](const uint8_t*, const ValueList* lv,
-                      const ValueList* rv) {
-                    emit_lists(pipeline, &rings[w], lv, rv);
-                  });
-              drain(pipeline, &rings[w]);
-            });
-      });
-    } else {
-      run_serial([&](CandidatePipeline* pipeline,
-                     StagingRing<ValuePair>* ring) {
-        SynchronousScan(lp, rp,
-                        [&](const uint8_t*, const ValueList* lv,
-                            const ValueList* rv) {
-                          emit_lists(pipeline, ring, lv, rv);
-                        });
-      });
-    }
-  } else if (left.is_kiss() && right.is_kiss()) {
+    stats.morsels = engine::RunPrefixPairMorsels(
+        site, lp, rp,
+        [&](size_t w, const PairScanLevel& level, size_t begin, size_t end) {
+          CandidatePipeline* pipeline = pipelines[w].get();
+          StagingRing<ValuePair>* ring = &rings[w];
+          SynchronousScanPairSlots(
+              lp, rp, level, begin, end,
+              [&](const uint8_t*, const ValueList* lv, const ValueList* rv) {
+                lv->ForEach([&](uint64_t l) {
+                  rv->ForEach(
+                      [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
+                });
+              });
+          drain(pipeline, ring);
+        });
+  } else if (!mixed) {
     // The synchronous index scan over the two main indexes (Fig. 6): only
     // buckets used by both sides are descended into; each shared key
     // yields the cross product of the two duplicate lists (§4.2).
+    // Morsels are disjoint key ranges of the shared span.
     const KissTree& lk = *left.kiss();
     const KissTree& rk = *right.kiss();
-    if (parallel) {
-      // Probe side parallelism: disjoint key-range morsels over the
-      // shared span, per-worker pipelines and partial outputs, one merge
-      // at the end.
-      uint32_t lo = std::max(lk.min_key(), rk.min_key());
-      uint32_t hi = std::min(lk.max_key(), rk.max_key());
-      run_parallel([&](auto& pipelines, auto& rings) {
-        return engine::RunKissRangeMorsels(
-            site, lk, lo, hi, [&](size_t w, uint32_t mlo, uint32_t mhi) {
-              CandidatePipeline* pipeline = pipelines[w].get();
-              SynchronousScanRange(
-                  lk, rk, mlo, mhi,
-                  [&](uint32_t, const KissTree::ValueRef& lv,
-                      const KissTree::ValueRef& rv) {
-                    lv.ForEach([&](uint64_t l) {
-                      rv.ForEach([&](uint64_t r) {
-                        emit_pair(pipeline, &rings[w], l, r);
-                      });
-                    });
-                  });
-              drain(pipeline, &rings[w]);
-            });
-      });
-    } else {
-      run_serial([&](CandidatePipeline* pipeline,
-                     StagingRing<ValuePair>* ring) {
-        SynchronousScan(lk, rk,
-                        [&](uint32_t, const KissTree::ValueRef& lv,
-                            const KissTree::ValueRef& rv) {
-                          lv.ForEach([&](uint64_t l) {
-                            rv.ForEach([&](uint64_t r) {
-                              emit_pair(pipeline, ring, l, r);
-                            });
-                          });
-                        });
-      });
-    }
+    uint32_t lo = std::max(lk.min_key(), rk.min_key());
+    uint32_t hi = std::min(lk.max_key(), rk.max_key());
+    stats.morsels = engine::RunKissRangeMorsels(
+        site, lk, lo, hi, [&](size_t w, uint32_t mlo, uint32_t mhi) {
+          CandidatePipeline* pipeline = pipelines[w].get();
+          StagingRing<ValuePair>* ring = &rings[w];
+          SynchronousScanRange(
+              lk, rk, mlo, mhi,
+              [&](uint32_t, const KissTree::ValueRef& lv,
+                  const KissTree::ValueRef& rv) {
+                lv.ForEach([&](uint64_t l) {
+                  rv.ForEach(
+                      [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
+                });
+              });
+          drain(pipeline, ring);
+        });
   } else {
     // Mixed main families (one KISS, one prefix — e.g. a KISS-indexed
     // base main joined with a prefix-tree intermediate when prefer_kiss
@@ -248,8 +188,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // (KissTree::BatchLookup). Probing with KissKeyOf's 32-bit
     // truncation reproduces exactly the conflation a KISS x KISS scan
     // applies to every attribute value — no reconstruction heuristics.
-    // The parallel path splits the prefix side at its branching level
-    // (self-pairing reuses the pair-scan partitioner).
+    // Morsels split the prefix side at its branching level (self-pairing
+    // reuses the pair-scan partitioner).
     const bool left_is_kiss = left.is_kiss();
     const KissTree& ktree = left_is_kiss ? *left.kiss() : *right.kiss();
     const PrefixTree& ptree =
@@ -259,75 +199,57 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
           "star join with mixed KISS/prefix mains requires the prefix main "
           "to be keyed on the single shared integer join attribute");
     }
-    // Drives one scan of (part of) the prefix side: `enumerate(sink)`
-    // calls sink(key, values) per content node; probes are staged and
-    // flushed through BatchLookup in kMixedProbeBatch groups.
-    auto scan_mixed = [&](CandidatePipeline* pipeline,
-                          StagingRing<ValuePair>* ring, auto&& enumerate) {
-      KissTree::LookupJob jobs[kMixedProbeBatch];
-      const ValueList* prefix_vals[kMixedProbeBatch];
-      size_t n = 0;
-      auto flush = [&] {
-        if (n == 0) return;
-        ktree.BatchLookup(std::span<KissTree::LookupJob>(jobs, n));
-        for (size_t i = 0; i < n; ++i) {
-          if (!jobs[i].found) continue;
-          const ValueList* pv = prefix_vals[i];
-          const KissTree::ValueRef& kv = jobs[i].values;
-          if (left_is_kiss) {
-            kv.ForEach([&](uint64_t l) {
-              pv->ForEach(
-                  [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
-            });
-          } else {
-            pv->ForEach([&](uint64_t l) {
-              kv.ForEach(
-                  [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
-            });
-          }
-        }
-        n = 0;
-      };
-      enumerate([&](const uint8_t* key, const ValueList* vals) {
-        jobs[n].key = static_cast<uint32_t>(DecodeI64(key));  // KissKeyOf
-        prefix_vals[n] = vals;
-        if (++n == kMixedProbeBatch) flush();
-      });
-      flush();
-    };
-    // Fork on EITHER side being big: the scan runs over the prefix
-    // side's keys, but the bulk of the work is emitting the KISS side's
-    // duplicate lists — a huge fact main joined through a tiny dimension
-    // intermediate still parallelizes by splitting the dimension's keys
-    // (and their emit work) across morsels.
-    if (worth_forking(std::max(left.num_input_tuples(),
-                               right.num_input_tuples()))) {
-      run_parallel([&](auto& pipelines, auto& rings) {
-        return engine::RunPrefixPairMorsels(
-            site, ptree, ptree,  // self-pair: every populated subtree
-            [&](size_t w, const PairScanLevel& level, size_t begin,
-                size_t end) {
-              CandidatePipeline* pipeline = pipelines[w].get();
-              scan_mixed(pipeline, &rings[w], [&](auto&& sink) {
-                SynchronousScanPairSlots(
-                    ptree, ptree, level, begin, end,
-                    [&](const uint8_t* key, const ValueList* vals,
-                        const ValueList*) { sink(key, vals); });
+    stats.morsels = engine::RunPrefixPairMorsels(
+        site, ptree, ptree,  // self-pair: every populated subtree
+        [&](size_t w, const PairScanLevel& level, size_t begin, size_t end) {
+          CandidatePipeline* pipeline = pipelines[w].get();
+          StagingRing<ValuePair>* ring = &rings[w];
+          // Probes are staged and flushed through BatchLookup in
+          // kMixedProbeBatch groups.
+          KissTree::LookupJob jobs[kMixedProbeBatch];
+          const ValueList* prefix_vals[kMixedProbeBatch];
+          size_t n = 0;
+          auto flush = [&] {
+            ktree.BatchLookup(std::span<KissTree::LookupJob>(jobs, n));
+            for (size_t i = 0; i < n; ++i) {
+              if (!jobs[i].found) continue;
+              const ValueList* pv = prefix_vals[i];
+              const KissTree::ValueRef& kv = jobs[i].values;
+              if (left_is_kiss) {
+                kv.ForEach([&](uint64_t l) {
+                  pv->ForEach(
+                      [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
+                });
+              } else {
+                pv->ForEach([&](uint64_t l) {
+                  kv.ForEach(
+                      [&](uint64_t r) { emit_pair(pipeline, ring, l, r); });
+                });
+              }
+            }
+            n = 0;
+          };
+          SynchronousScanPairSlots(
+              ptree, ptree, level, begin, end,
+              [&](const uint8_t* key, const ValueList* vals,
+                  const ValueList*) {
+                jobs[n].key = KissKeyOf(SlotFromInt64(DecodeI64(key)));
+                prefix_vals[n] = vals;
+                if (++n == kMixedProbeBatch) flush();
               });
-              drain(pipeline, &rings[w]);
-            });
-      });
-    } else {
-      run_serial([&](CandidatePipeline* pipeline,
-                     StagingRing<ValuePair>* ring) {
-        scan_mixed(pipeline, ring, [&](auto&& sink) {
-          ptree.ScanAll([&](const PrefixTree::ContentNode& c) {
-            sink(c.key(), ptree.ValuesOf(&c));
-          });
+          if (n > 0) flush();
+          drain(pipeline, ring);
         });
-      });
-    }
   }
+  // Per-phase times overlap across workers; report the slowest worker
+  // (the critical path), which stays comparable to total_ms.
+  for (size_t w = 0; w < workers; ++w) {
+    pipelines[w]->Finish();
+    stats.materialize_ms =
+        std::max(stats.materialize_ms, pipelines[w]->materialize_ms());
+    stats.index_ms = std::max(stats.index_ms, pipelines[w]->index_ms());
+  }
+  stats.merge_ms = partials.MergeInto(site);
 
   FillOutputStats(*output, &stats);
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));

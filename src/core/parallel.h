@@ -77,45 +77,6 @@ class ForkJoin {
   std::exception_ptr error_;
 };
 
-// Key subranges [lo, hi] (inclusive) covering the intersection of
-// [span_lo, span_hi] with the tree's populated key span, aligned to root
-// buckets so no level-2 node is shared between shards. Returns at most
-// `shards` non-empty ranges, in ascending order.
-inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
-    const KissTree& tree, uint32_t span_lo, uint32_t span_hi, size_t shards) {
-  std::vector<std::pair<uint32_t, uint32_t>> ranges;
-  if (tree.empty() || shards == 0) return ranges;
-  uint32_t lo = std::max(span_lo, tree.min_key());
-  uint32_t hi = std::min(span_hi, tree.max_key());
-  if (lo > hi) return ranges;
-  size_t l2 = tree.level2_bits();
-  uint64_t first_bucket = lo >> l2;
-  uint64_t last_bucket = hi >> l2;
-  uint64_t buckets = last_bucket - first_bucket + 1;
-  if (shards > buckets) shards = static_cast<size_t>(buckets);
-  uint64_t per_shard = buckets / shards;
-  uint64_t extra = buckets % shards;
-  uint64_t bucket = first_bucket;
-  for (size_t s = 0; s < shards; ++s) {
-    uint64_t take = per_shard + (s < extra ? 1 : 0);
-    uint64_t end_bucket = bucket + take - 1;
-    uint32_t range_lo = static_cast<uint32_t>(bucket << l2);
-    uint32_t range_hi = static_cast<uint32_t>(((end_bucket + 1) << l2) - 1);
-    if (bucket == first_bucket) range_lo = lo;
-    if (end_bucket == last_bucket) range_hi = hi;
-    ranges.emplace_back(range_lo, range_hi);
-    bucket = end_bucket + 1;
-  }
-  return ranges;
-}
-
-// Full-span overload: covers the tree's whole populated key range.
-inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
-    const KissTree& tree, size_t shards) {
-  return PartitionKissRange(tree, 0, std::numeric_limits<uint32_t>::max(),
-                            shards);
-}
-
 // Chops [0, n) into at most `shards` contiguous, non-empty [begin, end)
 // slices differing in size by at most one — the balanced split shared by
 // the morsel drivers.
@@ -133,6 +94,35 @@ inline std::vector<std::pair<size_t, size_t>> SplitEvenly(size_t n,
     at += take;
   }
   return slices;
+}
+
+// Key subranges [lo, hi] (inclusive) covering the intersection of
+// [span_lo, span_hi] with the tree's populated key spans (one per half
+// of the key space, KissTree::ForEachSpan), aligned to root buckets so no
+// level-2 node is shared between shards. Returns at most `shards`
+// non-empty ranges per span, in ascending order.
+inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
+    const KissTree& tree, uint32_t span_lo, uint32_t span_hi, size_t shards) {
+  std::vector<std::pair<uint32_t, uint32_t>> ranges;
+  const size_t l2 = tree.level2_bits();
+  tree.ForEachSpan(span_lo, span_hi, [&](uint32_t lo, uint32_t hi) {
+    const uint64_t first = lo >> l2;
+    const uint64_t buckets = (hi >> l2) - first + 1;
+    for (const auto& [begin, end] : SplitEvenly(buckets, shards)) {
+      ranges.emplace_back(
+          begin == 0 ? lo : static_cast<uint32_t>((first + begin) << l2),
+          end == buckets ? hi
+                         : static_cast<uint32_t>(((first + end) << l2) - 1));
+    }
+  });
+  return ranges;
+}
+
+// Full-span overload: covers the tree's whole populated key range.
+inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
+    const KissTree& tree, size_t shards) {
+  return PartitionKissRange(tree, 0, std::numeric_limits<uint32_t>::max(),
+                            shards);
 }
 
 }  // namespace qppt

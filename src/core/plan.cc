@@ -7,13 +7,20 @@
 #include <string>
 #include <vector>
 
+#include "engine/scheduler.h"
 #include "obs/trace.h"
 
 namespace qppt {
 
-void ExecContext::EnsureTrace(size_t workers) {
+void ExecContext::set_worker_pool(engine::WorkerPool* pool) {
+  pool_ = pool;
+  stats_.threads = pool == nullptr ? 1 : pool->num_workers();
+}
+
+void ExecContext::EnsureTrace() {
   if (!knobs_.trace || trace_ != nullptr) return;
-  trace_ = std::make_shared<obs::QueryTrace>(workers == 0 ? 1 : workers);
+  trace_ = std::make_shared<obs::QueryTrace>(
+      pool_ == nullptr ? 1 : pool_->num_workers());
   stats_.trace = trace_;
 }
 
@@ -41,7 +48,7 @@ Status Plan::Run(ExecContext* ctx) const {
   // stats would double-report (see the PlanStats contract, core/stats.h).
   assert(ctx->stats()->total_ms == 0 &&
          "PlanStats reused across Run() without Clear()");
-  ctx->EnsureTrace(ctx->knobs().threads);
+  ctx->EnsureTrace();
   obs::QueryTrace* trace = ctx->trace();
   Timer total;
   for (const auto& op : operators_) {

@@ -8,7 +8,9 @@
 //
 // PlanKnobs mirrors the demonstrator's optimization panel (appendix A):
 // select-join fusion on/off, join-buffer size {1, 64, 512, 2048}, and the
-// multi-way join cap {2, 3, 4, multi}.
+// multi-way join cap {2, 3, 4, multi}. Parallelism is not a knob: an
+// operator forks on the ExecContext's worker pool when one is attached
+// (the EngineRunner attaches its own) and runs inline otherwise.
 
 #ifndef QPPT_CORE_PLAN_H_
 #define QPPT_CORE_PLAN_H_
@@ -41,15 +43,11 @@ enum class QueryPriority : int {
 struct PlanKnobs {
   // Fuse selections into subsequent joins where the plan allows (§4.3).
   bool use_select_join = true;
-  // Join/selection buffer capacity; 1 disables batching (§4.2).
+  // Join/selection buffer capacity; 1 probes in batches of one (§4.2).
   size_t join_buffer_size = 512;
   // Maximum operator arity for multi-way/star joins; 0 = unlimited.
   // (Interpreted by plan builders, not by operators.)
   int max_join_ways = 0;
-  // Morsel workers for the hot operators (engine layer, §7). 1 = serial;
-  // >1 requires a WorkerPool attached to the ExecContext (the
-  // EngineRunner does both).
-  size_t threads = 1;
   // MVCC snapshot to read versioned tables at. The default sentinel
   // (kTsInfinity) means "pin the latest committed timestamp when the
   // ExecContext is constructed" — the engine session pins earlier, at
@@ -61,7 +59,7 @@ struct PlanKnobs {
   bool trace = false;
   // Cooperative cancellation token, or nullptr. The caller owns the token
   // and must keep it alive for the whole execution; drivers poll it at
-  // morsel boundaries and (stride-gated) inside serial scan loops, so
+  // morsel boundaries and (stride-gated) inside inline scan loops, so
   // Plan::Run returns Cancelled/DeadlineExceeded promptly after
   // RequestCancel() or deadline expiry.
   const CancelToken* cancel = nullptr;
@@ -87,7 +85,6 @@ class ExecContext {
         read_ts_(knobs.read_ts == kTsInfinity
                      ? db->txn_manager().last_commit_ts()
                      : knobs.read_ts) {
-    stats_.threads = knobs_.threads;
     stats_.read_ts = read_ts_;
   }
 
@@ -101,11 +98,11 @@ class ExecContext {
   PlanStats* stats() { return &stats_; }
   const PlanStats& stats() const { return stats_; }
 
-  // The engine's morsel worker pool, or nullptr when executing serially.
-  // Operators take the parallel path only when a pool is attached AND
-  // knobs().threads > 1.
+  // The engine's morsel worker pool, or nullptr: operators fork their
+  // morsels on it when it is attached and run inline otherwise. Attaching
+  // one records its worker count in stats()->threads.
   engine::WorkerPool* worker_pool() const { return pool_; }
-  void set_worker_pool(engine::WorkerPool* pool) { pool_ = pool; }
+  void set_worker_pool(engine::WorkerPool* pool);
 
   // The query's cancellation token, or nullptr when the caller did not
   // provide one (nothing to poll; execution runs to completion).
@@ -116,12 +113,11 @@ class ExecContext {
   }
 
   // The query's span timeline, or nullptr when knobs().trace is off.
-  // Created by EnsureTrace — the engine runner calls it with the pool's
-  // true worker count before execution; Plan::Run falls back to
-  // knobs().threads for serial/core callers. Idempotent; the handle is
-  // also stored in stats()->trace so it survives this context.
+  // Created by Plan::Run with one lane per worker of the attached pool
+  // (one without a pool). Idempotent; the handle is also stored in
+  // stats()->trace so it survives this context.
   obs::QueryTrace* trace() const { return trace_.get(); }
-  void EnsureTrace(size_t workers);
+  void EnsureTrace();
 
   // Registers an operator's output under `name`.
   Status Put(const std::string& name, std::unique_ptr<IndexedTable> table);

@@ -7,8 +7,8 @@
 // algorithm beats probe-based joins when the key overlap is small.
 //
 // For two KISS-Trees the lock-step scan runs over the root arrays,
-// restricted to [max(left.min, right.min), min(left.max, right.max)] so
-// dense keys never pay for the full 2^26-entry roots (§4.2). For two
+// restricted to the key spans both trees populate (KissTree::ForEachSpan)
+// so dense keys never pay for the full 2^26-entry roots (§4.2). For two
 // generalized prefix trees the scan recurses structurally; content nodes
 // met above the full key depth (dynamic expansion) are matched against the
 // other tree's subtree directly.
@@ -42,30 +42,33 @@ namespace qppt {
 template <typename F>
 void SynchronousScanRange(const KissTree& left, const KissTree& right,
                           uint32_t span_lo, uint32_t span_hi, F&& fn) {
-  if (left.empty() || right.empty()) return;
   assert(left.root_size() == right.root_size() &&
          "synchronous scan requires identical root fragment widths");
-  uint32_t lo = std::max({span_lo, left.min_key(), right.min_key()});
-  uint32_t hi = std::min({span_hi, left.max_key(), right.max_key()});
-  if (lo > hi) return;
-  size_t l2 = left.level2_bits();
-  size_t first_bucket = lo >> l2;
-  size_t last_bucket = hi >> l2;
-  for (size_t b = first_bucket; b <= last_bucket; ++b) {
-    uint32_t lh = left.RootEntry(b);
-    if (lh == CompactSlab::kNullHandle) continue;
-    uint32_t rh = right.RootEntry(b);
-    if (rh == CompactSlab::kNullHandle) continue;  // skipped descent
-    // Both level-2 nodes exist: iterate the (smaller representation of
-    // the) left node's used slots and probe the right node's slot.
-    left.ForEachLevel2Slot(lh, [&](uint32_t slot, uint64_t left_entry) {
-      uint64_t right_entry = right.Level2Entry(rh, slot);
-      if (right_entry == 0) return;
-      uint32_t key = static_cast<uint32_t>((b << l2) | slot);
-      if (key < lo || key > hi) return;
-      fn(key, left.DecodeEntry(left_entry), right.DecodeEntry(right_entry));
+  const size_t l2 = left.level2_bits();
+  // The spans both trees populate, per half of the key space (the halves
+  // are disjoint, so a left span meets only the right span of its half).
+  left.ForEachSpan(span_lo, span_hi, [&](uint32_t left_lo, uint32_t left_hi) {
+    right.ForEachSpan(left_lo, left_hi, [&](uint32_t lo, uint32_t hi) {
+      size_t first_bucket = lo >> l2;
+      size_t last_bucket = hi >> l2;
+      for (size_t b = first_bucket; b <= last_bucket; ++b) {
+        uint32_t lh = left.RootEntry(b);
+        if (lh == CompactSlab::kNullHandle) continue;
+        uint32_t rh = right.RootEntry(b);
+        if (rh == CompactSlab::kNullHandle) continue;  // skipped descent
+        // Both level-2 nodes exist: iterate the (smaller representation
+        // of the) left node's used slots and probe the right node's slot.
+        left.ForEachLevel2Slot(lh, [&](uint32_t slot, uint64_t left_entry) {
+          uint64_t right_entry = right.Level2Entry(rh, slot);
+          if (right_entry == 0) return;
+          uint32_t key = static_cast<uint32_t>((b << l2) | slot);
+          if (key < lo || key > hi) return;
+          fn(key, left.DecodeEntry(left_entry),
+             right.DecodeEntry(right_entry));
+        });
+      }
     });
-  }
+  });
 }
 
 template <typename F>
@@ -179,6 +182,7 @@ inline PairScanLevel FindPairScanLevel(const PrefixTree& left,
          "synchronous scan requires identical key layout");
   PairScanLevel level;
   if (left.num_keys() == 0 || right.num_keys() == 0) return level;
+  level.slots.reserve(size_t{1} << left.config().kprime);  // one allocation
   size_t key_bits = left.key_len() * 8;
   const PrefixTree::Node* lnode = left.root();
   const PrefixTree::Node* rnode = right.root();

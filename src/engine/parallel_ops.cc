@@ -2,8 +2,8 @@
 
 namespace qppt::engine {
 
-double PartialOutputs::MergeInto(const MorselSite& site,
-                                 IndexedTable* output) {
+double PartialOutputs::MergeInto(const MorselSite& site) {
+  if (partials_.empty()) return 0;
   obs::QueryTrace* trace = site.trace;
   const double t0 = obs::ClockUs(trace);
   for (auto& partial : partials_) {
@@ -14,7 +14,7 @@ double PartialOutputs::MergeInto(const MorselSite& site,
       if (!st.ok()) throw CancelledException(std::move(st));
     }
     QPPT_FAILPOINT(merge_partial);
-    output->MergeFrom(*partial);
+    output_->MergeFrom(*partial);
     partial.reset();  // free per-worker index memory eagerly
   }
   const double t1 = obs::ClockUs(trace);

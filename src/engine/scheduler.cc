@@ -1,5 +1,6 @@
 #include "engine/scheduler.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -58,7 +59,7 @@ WorkerPool::WorkerPool(size_t threads) {
       "worker id).");
   queue_depth_ = reg.GetGauge(
       "engine_queue_depth", "Morsels queued in worker deques, not yet begun.");
-  if (threads == 0) return;
+  assert(threads > 0 && "a pool-less MorselSite runs inline");
   deques_.resize(threads);
   workers_.reserve(threads);
   for (size_t w = 0; w < threads; ++w) {
@@ -154,15 +155,6 @@ void WorkerPool::Run(size_t num_morsels, const MorselFn& fn) {
     std::abort();
   }
   QPPT_FAILPOINT(sched_submit);
-  if (deques_.empty()) {
-    // No workers: inline serial execution, worker id 0. The in-morsel
-    // scope covers this path too — the nested-Run rule is about batch
-    // semantics, not just the deadlock mechanics of pooled mode.
-    InMorselScope in_morsel;
-    for (size_t m = 0; m < num_morsels; ++m) fn(0, m);
-    tasks_executed_->AddShard(0, num_morsels);
-    return;
-  }
   Batch batch;
   batch.fn = &fn;
   batch.outstanding = num_morsels;

@@ -42,14 +42,15 @@ class WorkerPool {
   // morsel index.
   using MorselFn = std::function<void(size_t worker, size_t morsel)>;
 
-  // `threads` worker threads; 0 = no workers, Run() executes inline on
-  // the calling thread (worker id 0; num_workers() reports 1).
+  // `threads` (at least 1) worker threads. Work that should not fork
+  // takes no pool at all: a pool-less MorselSite runs it inline
+  // (engine/parallel_ops.h).
   explicit WorkerPool(size_t threads);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  size_t num_workers() const { return deques_.empty() ? 1 : deques_.size(); }
+  size_t num_workers() const { return deques_.size(); }
 
   // Morsels per worker in every parallel batch.
   // Work stealing evens out skewed morsels; the split must also be fine

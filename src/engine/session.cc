@@ -140,7 +140,7 @@ void AnswerKissPoints(const IndexedTable& table,
   const KissTree& data = *table.kiss();
   if (points.size() == 1) {
     KissTree::ValueRef vals;
-    if (data.Lookup(IndexedTable::KissKeyOf(SlotFromInt64(points[0]->lo)),
+    if (data.Lookup(KissKeyOf(SlotFromInt64(points[0]->lo)),
                     &vals)) {
       vals.ForEach([&](uint64_t id) { points[0]->out.push_back(id); });
     }
@@ -151,7 +151,7 @@ void AnswerKissPoints(const IndexedTable& table,
   cfg.root_bits = data.config().root_bits;
   KissTree probe(cfg);
   for (size_t i = 0; i < points.size(); ++i) {
-    probe.Insert(IndexedTable::KissKeyOf(SlotFromInt64(points[i]->lo)), i);
+    probe.Insert(KissKeyOf(SlotFromInt64(points[i]->lo)), i);
   }
   SynchronousScan(probe, data,
                   [&](uint32_t, const KissTree::ValueRef& reqs,
@@ -543,15 +543,9 @@ Result<QueryResult> EngineRunner::Execute(const Database& db,
   // relaxed: statistics counter; no ordering needed.
   queries_admitted_.fetch_add(1, std::memory_order_relaxed);
   m.queries_total->Add();
-  knobs.threads = config_.threads;
   ReadPin pin(this, db, &knobs);
   ExecContext ctx(&db, knobs);
-  if (pool_ != nullptr && config_.threads > 1) {
-    ctx.set_worker_pool(pool_.get());
-    // Create the trace (knobs.trace) with the pool's true worker count so
-    // every worker id maps to its own span lane.
-    ctx.EnsureTrace(pool_->num_workers());
-  }
+  if (pool_ != nullptr) ctx.set_worker_pool(pool_.get());
   Result<QueryResult> result = plan.Execute(&ctx);
   if (!result.ok()) return fail(result.status());
   if (stats != nullptr) {

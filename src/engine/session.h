@@ -92,7 +92,7 @@ class EngineRunner {
 
   // Admits and executes one query. Safe to call from many client threads
   // concurrently; each call gets a private ExecContext wired to the
-  // shared pool, with knobs.threads forced to the engine's configuration.
+  // shared pool (none when configured serial: every operator runs inline).
   //
   // Admission: with max_concurrent_queries set, excess callers wait here
   // until a slot frees — bounded by the queue timeout

@@ -94,6 +94,14 @@ inline int32_t DecodeI32(const uint8_t* p) {
 }
 double DecodeDouble(const uint8_t* p);
 
+// The 32-bit KISS-Tree key of an int64 attribute slot: its low 32 bits
+// (§2.2: 32-bit keys are "mostly sufficient"), so values equal modulo
+// 2^32 share one key. The one KISS key mapping of base indexes,
+// intermediate tables and probes.
+inline uint32_t KissKeyOf(uint64_t slot) {
+  return static_cast<uint32_t>(Int64FromSlot(slot));
+}
+
 // Lexicographic comparison of equal-length keys.
 inline int CompareKeys(const uint8_t* a, const uint8_t* b, size_t len) {
   return std::memcmp(a, b, len);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -96,11 +97,11 @@ KissTree::KissTree(Config config)
   // The bitmask compression uses one uint64 mask, so it requires the
   // paper's exact 26/6 split (64 slots per level-2 node).
   assert(!config.compress || level2_bits_ <= 6);
-  root_map_bytes_ = root_size_ * sizeof(uint32_t);
   // The paper's trick: reserve the root virtually; the OS materializes
   // zero-filled 4 KiB pages on first write, so a sparse tree never pays
   // for the full 256 MiB root.
-  void* mem = ::mmap(nullptr, root_map_bytes_, PROT_READ | PROT_WRITE,
+  void* mem = ::mmap(nullptr, root_size_ * sizeof(uint32_t),
+                     PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (mem == MAP_FAILED) {
     std::perror("KissTree: mmap of root array failed");
@@ -111,7 +112,7 @@ KissTree::KissTree(Config config)
 
 KissTree::~KissTree() {
   if (root_ != nullptr) {
-    ::munmap(root_, root_map_bytes_);
+    ::munmap(root_, root_size_ * sizeof(uint32_t));
   }
 }
 
@@ -121,16 +122,20 @@ KissTree::KissTree(KissTree&& other) noexcept
       l2_fanout_(other.l2_fanout_),
       root_size_(other.root_size_),
       root_(other.root_),
-      root_map_bytes_(other.root_map_bytes_),
       slab_(std::move(other.slab_)),
       value_arena_(std::move(other.value_arena_)),
       dup_arena_(std::move(other.dup_arena_)),
       // relaxed: move construction has exclusive access to both objects.
-      num_keys_(other.num_keys_.load(std::memory_order_relaxed)),
-      min_key_(other.min_key_.load(std::memory_order_relaxed)),
-      max_key_(other.max_key_.load(std::memory_order_relaxed)) {
+      num_keys_(other.num_keys_.load(std::memory_order_relaxed)) {
+  for (size_t h = 0; h < 2; ++h) {
+    // relaxed (both): move construction has exclusive access to both.
+    min_key_[h].store(other.min_key_[h].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+    // relaxed (both): ditto.
+    max_key_[h].store(other.max_key_[h].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+  }
   other.root_ = nullptr;
-  other.root_map_bytes_ = 0;
   // relaxed: move construction has exclusive access to both objects.
   other.num_keys_.store(0, std::memory_order_relaxed);
 }
@@ -138,14 +143,15 @@ KissTree::KissTree(KissTree&& other) noexcept
 size_t KissTree::MemoryUsage() const {
   // The root array is virtual; attribute only an estimate of the touched
   // portion (one 4 KiB page per 1024 used buckets in the worst case is
-  // workload-dependent, so we report the span between min and max bucket,
-  // capped by the map size).
+  // workload-dependent, so we report the root pages spanned by each
+  // populated half of the key space).
   size_t root_touched = 0;
-  if (num_keys() > 0) {
-    size_t first = (min_key() >> level2_bits_) * sizeof(uint32_t) / 4096;
-    size_t last = (max_key() >> level2_bits_) * sizeof(uint32_t) / 4096;
-    root_touched = (last - first + 1) * 4096;
-  }
+  ForEachSpan(0, std::numeric_limits<uint32_t>::max(),
+              [&](uint32_t lo, uint32_t hi) {
+                size_t first = (lo >> level2_bits_) * sizeof(uint32_t) / 4096;
+                size_t last = (hi >> level2_bits_) * sizeof(uint32_t) / 4096;
+                root_touched += (last - first + 1) * 4096;
+              });
   return root_touched + slab_.bytes_resident() +
          value_arena_.bytes_reserved() + dup_arena_.bytes_reserved();
 }

@@ -27,6 +27,7 @@
 #ifndef QPPT_INDEX_KISS_TREE_H_
 #define QPPT_INDEX_KISS_TREE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -149,15 +150,38 @@ class KissTree {
     // relaxed: advisory statistic; staleness only widens a scan bound.
     return num_keys_.load(std::memory_order_relaxed);
   }
+  // Smallest and largest key (UINT32_MAX and 0 while empty).
   uint32_t min_key() const {
-    // relaxed: advisory scan bound (see num_keys).
-    return min_key_.load(std::memory_order_relaxed);
+    uint32_t k = std::numeric_limits<uint32_t>::max();
+    ForEachSpan(0, k, [&](uint32_t lo, uint32_t) { k = std::min(k, lo); });
+    return k;
   }
   uint32_t max_key() const {
-    // relaxed: advisory scan bound (see num_keys).
-    return max_key_.load(std::memory_order_relaxed);
+    uint32_t k = 0;
+    ForEachSpan(0, std::numeric_limits<uint32_t>::max(),
+                [&](uint32_t, uint32_t hi) { k = std::max(k, hi); });
+    return k;
   }
   bool empty() const { return num_keys() == 0; }
+
+  // Calls fn(lo, hi) for the populated key span of each half of the key
+  // space (keys below 2^31, then keys at or above it) clipped to
+  // [span_lo, span_hi], skipping empty ones. Int64 keys on both sides of
+  // zero map to both ends of the uint32 range (KissKeyOf), so one
+  // [min_key(), max_key()] span would cover every root bucket; scans walk
+  // these spans instead.
+  template <typename F>
+  void ForEachSpan(uint32_t span_lo, uint32_t span_hi, F&& fn) const {
+    for (size_t h = 0; h < 2; ++h) {
+      // relaxed: advisory scan bound (see num_keys).
+      uint32_t lo = min_key_[h].load(std::memory_order_relaxed);
+      // relaxed: ditto.
+      uint32_t hi = max_key_[h].load(std::memory_order_relaxed);
+      lo = std::max(lo, span_lo);
+      hi = std::min(hi, span_hi);
+      if (lo <= hi) fn(lo, hi);
+    }
+  }
 
   // Bytes of physical memory attributable to the tree (slab + value arena
   // + touched root pages; the untouched remainder of the 256 MiB root is
@@ -212,12 +236,10 @@ class KissTree {
   // In-order traversal. F: void(uint32_t key, const ValueRef&).
   template <typename F>
   void ScanAll(F&& fn) const {
-    ScanRangeImpl(0, std::numeric_limits<uint32_t>::max(), fn);
+    ScanRange(0, std::numeric_limits<uint32_t>::max(), fn);
   }
   template <typename F>
-  void ScanRange(uint32_t lo, uint32_t hi, F&& fn) const {
-    ScanRangeImpl(lo, hi, fn);
-  }
+  void ScanRange(uint32_t lo, uint32_t hi, F&& fn) const;
 
   // --- batch processing (§2.3) -----------------------------------------------
 
@@ -297,33 +319,35 @@ class KissTree {
   // Key stats are advisory scan bounds; single writer, relaxed readers.
   void NoteKey(uint32_t key, bool created) {
     if (created) {
-      // relaxed (all five): advisory stats, single writer; readers tolerate
+      // relaxed (all): advisory stats, single writer; readers tolerate
       // staleness (a too-wide scan bound, never a wrong result).
       num_keys_.fetch_add(1, std::memory_order_relaxed);
-      if (key < min_key_.load(std::memory_order_relaxed)) {
-        min_key_.store(key, std::memory_order_relaxed);  // relaxed: ditto
+      const size_t h = key >> 31;  // the key's half (ForEachSpan)
+      // relaxed (both): ditto
+      if (key < min_key_[h].load(std::memory_order_relaxed)) {
+        min_key_[h].store(key, std::memory_order_relaxed);  // relaxed: ditto
       }
-      if (key > max_key_.load(std::memory_order_relaxed)) {  // relaxed: ditto
-        max_key_.store(key, std::memory_order_relaxed);  // relaxed: ditto
+      // relaxed (both): ditto
+      if (key > max_key_[h].load(std::memory_order_relaxed)) {
+        max_key_[h].store(key, std::memory_order_relaxed);
       }
     }
   }
-
-  template <typename F>
-  void ScanRangeImpl(uint32_t lo, uint32_t hi, F&& fn) const;
 
   Config config_;
   size_t level2_bits_;
   size_t l2_fanout_;
   size_t root_size_;
-  uint32_t* root_ = nullptr;  // mmap'd, MAP_NORESERVE
-  size_t root_map_bytes_ = 0;
+  uint32_t* root_ = nullptr;  // mmap'd, MAP_NORESERVE, root_size_ slots
   CompactSlab slab_;
   Arena value_arena_;  // ValueList headers
   PageArena dup_arena_;
   std::atomic<size_t> num_keys_{0};
-  std::atomic<uint32_t> min_key_{std::numeric_limits<uint32_t>::max()};
-  std::atomic<uint32_t> max_key_{0};
+  // Per half of the key space (ForEachSpan): [0] keys below 2^31, [1]
+  // keys at or above it. An empty half has min > max.
+  std::atomic<uint32_t> min_key_[2] = {std::numeric_limits<uint32_t>::max(),
+                                       std::numeric_limits<uint32_t>::max()};
+  std::atomic<uint32_t> max_key_[2] = {0, 0};
 };
 
 // ---- template member definitions -------------------------------------------
@@ -354,24 +378,20 @@ void KissTree::ForEachLevel2Slot(uint32_t handle, F&& fn) const {
 }
 
 template <typename F>
-void KissTree::ScanRangeImpl(uint32_t lo, uint32_t hi, F&& fn) const {
-  if (num_keys() == 0) return;
-  uint32_t min_k = min_key();
-  uint32_t max_k = max_key();
-  if (lo < min_k) lo = min_k;
-  if (hi > max_k) hi = max_k;
-  if (lo > hi) return;
-  size_t first_bucket = lo >> level2_bits_;
-  size_t last_bucket = hi >> level2_bits_;
-  for (size_t b = first_bucket; b <= last_bucket; ++b) {
-    uint32_t handle = LoadRootSlot(&root_[b]);
-    if (handle == CompactSlab::kNullHandle) continue;
-    ForEachLevel2Slot(handle, [&](uint32_t slot, uint64_t entry) {
-      uint32_t key = static_cast<uint32_t>((b << level2_bits_) | slot);
-      if (key < lo || key > hi) return;
-      fn(key, DecodeEntry(entry));
-    });
-  }
+void KissTree::ScanRange(uint32_t span_lo, uint32_t span_hi, F&& fn) const {
+  ForEachSpan(span_lo, span_hi, [&](uint32_t lo, uint32_t hi) {
+    size_t first_bucket = lo >> level2_bits_;
+    size_t last_bucket = hi >> level2_bits_;
+    for (size_t b = first_bucket; b <= last_bucket; ++b) {
+      uint32_t handle = LoadRootSlot(&root_[b]);
+      if (handle == CompactSlab::kNullHandle) continue;
+      ForEachLevel2Slot(handle, [&](uint32_t slot, uint64_t entry) {
+        uint32_t key = static_cast<uint32_t>((b << level2_bits_) | slot);
+        if (key < lo || key > hi) return;
+        fn(key, DecodeEntry(entry));
+      });
+    }
+  });
 }
 
 }  // namespace qppt

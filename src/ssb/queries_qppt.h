@@ -48,10 +48,10 @@ Result<QueryResult> RunQppt(const SsbData& data, const std::string& query_id,
                             const PlanKnobs& knobs,
                             PlanStats* stats = nullptr);
 
-// Same query flight admitted through the engine layer: the runner forces
-// knobs.threads to its configured worker count and attaches its morsel
-// pool, so an EngineRunner{threads: 1} runs the identical serial plans
-// and an EngineRunner{threads: N} runs them morsel-parallel.
+// Same query flight admitted through the engine layer: an
+// EngineRunner{threads: N > 1} attaches its morsel pool, so its operators
+// fork their morsels; an EngineRunner{threads: 1} attaches none, and the
+// identical plans run every driver inline.
 Result<QueryResult> RunQppt(engine::EngineRunner& engine, const SsbData& data,
                             const std::string& query_id,
                             const PlanKnobs& knobs,

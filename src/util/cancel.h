@@ -4,10 +4,10 @@
 // The issuer keeps the token alive for the duration of the query and flips
 // it with RequestCancel() (or lets the deadline expire); executing code
 // polls Check() at morsel boundaries and — through a stride-based
-// CancelTicker — inside serial scan loops. The fast path of Check() is one
-// relaxed atomic load plus (when a deadline is set) one clock read per
-// call; callers keep it off the per-tuple hot path by ticking every
-// kCancelStride tuples.
+// CancelTicker — inside the scan loops of inline morsel runs. The fast
+// path of Check() is one relaxed atomic load plus (when a deadline is
+// set) one clock read per call; callers keep it off the per-tuple hot
+// path by ticking every kCancelStride tuples.
 //
 // Tokens can be chained: a child token created with a parent observes the
 // parent's cancellation/deadline too. EngineRunner uses this to combine a
@@ -15,8 +15,9 @@
 // caller's token.
 //
 // CancelledException exists to unwind out of tree-scan callbacks
-// (ForEachMatch & friends have no early-exit protocol); Plan::Run and the
-// worker-pool batch error path convert it back to its Status.
+// (BaseIndex::ForEachKey and the tree scans have no early-exit protocol);
+// Plan::Run and the worker-pool batch error path convert it back to its
+// Status.
 
 #ifndef QPPT_UTIL_CANCEL_H_
 #define QPPT_UTIL_CANCEL_H_
@@ -142,12 +143,12 @@ inline Status StatusFromException(const std::exception_ptr& ep) {
   }
 }
 
-// Number of tuples a serial scan loop processes between cancellation
+// Number of tuples an inline scan loop processes between cancellation
 // checks. Large enough that the countdown (one predicted-not-taken branch
 // and a register decrement) is invisible next to the per-tuple work.
 inline constexpr uint32_t kCancelStride = 8192;
 
-// Stride-based ticker for serial loops: Tick() is nearly free; every
+// Stride-based ticker for inline scan loops: Tick() is nearly free; every
 // kCancelStride calls it polls the token and throws CancelledException if
 // the query must stop. A null token makes Tick() a pure countdown.
 class CancelTicker {
@@ -155,16 +156,19 @@ class CancelTicker {
   explicit CancelTicker(const CancelToken* token) : token_(token) {}
 
   void Tick() {
-    if (--countdown_ == 0) {
-      countdown_ = kCancelStride;
-      if (token_ != nullptr) {
-        Status st = token_->Check();
-        if (!st.ok()) throw CancelledException(std::move(st));
-      }
-    }
+    if (--countdown_ == 0) Poll();
   }
 
  private:
+  // The slow path, out of line so that Tick() stays a decrement and a
+  // branch that inlines into every scan loop.
+  [[gnu::noinline]] void Poll() {
+    countdown_ = kCancelStride;
+    if (token_ == nullptr) return;
+    Status st = token_->Check();
+    if (!st.ok()) throw CancelledException(std::move(st));
+  }
+
   const CancelToken* token_;
   uint32_t countdown_ = kCancelStride;
 };

@@ -303,10 +303,12 @@ TEST(TieredAdmissionTest, StressNeverLosesOrDoubleReleasesSlots) {
 
 // Run() from inside a morsel would block the worker on its own batch —
 // a silent deadlock. The dbg invariant turns it into a deterministic
-// abort (inline no-worker path keeps the death test single-threaded).
+// abort on the worker. Two workers, so that without the invariant the
+// nested batch runs on the other one and the test fails instead of
+// hanging.
 void NestedRunFromMorsel() {
   dbg::SetInvariantsEnabled(true);
-  engine::WorkerPool pool(0);
+  engine::WorkerPool pool(2);
   pool.Run(1, [&](size_t, size_t) {
     pool.Run(1, [](size_t, size_t) {});
   });

@@ -31,6 +31,14 @@ BaseIndex::Options SmallKiss() {
   return opt;
 }
 
+// fn(value) for every value of the keys `predicate` selects.
+template <typename F>
+void ForEachSelected(const BaseIndex& index, const KeyPredicate& predicate,
+                     F fn) {
+  index.ForEachKey(predicate, {},
+                   [&](const KissTree::ValueRef& vals) { vals.ForEach(fn); });
+}
+
 TEST(BaseIndexTest, SecondaryIndexYieldsRids) {
   auto table = MakePartTable(1000);
   auto index = BaseIndex::Build(table.get(), {"brand"}, {}, SmallKiss());
@@ -44,8 +52,8 @@ TEST(BaseIndexTest, SecondaryIndexYieldsRids) {
     if (Int64FromSlot(table->GetSlot(r, 1)) == 7) expected.insert(r);
   }
   std::set<Rid> got;
-  (*index)->ForEachMatch(SlotFromInt64(7),
-                         [&](uint64_t value) { got.insert(value); });
+  ForEachSelected(**index, KeyPredicate::Point(7),
+                  [&](uint64_t value) { got.insert(value); });
   EXPECT_EQ(got, expected);
 }
 
@@ -66,7 +74,7 @@ TEST(BaseIndexTest, ClusteredIndexAvoidsTableAccess) {
   EXPECT_FALSE(size->touches_table());
   EXPECT_TRUE(brand->touches_table());
 
-  (*index)->ForEachMatch(SlotFromInt64(3), [&](uint64_t value) {
+  ForEachSelected(**index, KeyPredicate::Point(3), [&](uint64_t value) {
     int64_t pk = Int64FromSlot(partkey->Get(value));
     // Cross-check against the base table.
     EXPECT_EQ(Int64FromSlot(table->GetSlot(static_cast<Rid>(pk), 1)), 3);
@@ -81,7 +89,7 @@ TEST(BaseIndexTest, RidPseudoColumn) {
   ASSERT_TRUE(index.ok());
   auto rid = (*index)->BindColumn("@rid");
   ASSERT_TRUE(rid.ok());
-  (*index)->ForEachMatch(SlotFromInt64(42), [&](uint64_t value) {
+  ForEachSelected(**index, KeyPredicate::Point(42), [&](uint64_t value) {
     EXPECT_EQ(rid->Get(value), 42u);  // partkey == rid in this table
   });
 }
@@ -91,8 +99,8 @@ TEST(BaseIndexTest, RangeScan) {
   auto index = BaseIndex::Build(table.get(), {"partkey"}, {}, SmallKiss());
   ASSERT_TRUE(index.ok());
   size_t count = 0;
-  (*index)->ForEachInRange(SlotFromInt64(100), SlotFromInt64(199),
-                           [&](uint64_t) { ++count; });
+  ForEachSelected(**index, KeyPredicate::Range(100, 199),
+                  [&](uint64_t) { ++count; });
   EXPECT_EQ(count, 100u);
 }
 
@@ -235,7 +243,7 @@ std::vector<uint8_t> KeyBytesOf(const BaseIndex& index, const RowTable& table,
   }
   KeyBuf kb;
   if (index.kind() == BaseIndex::Kind::kKiss) {
-    kb.AppendU32(BaseIndex::KissKeyOf(slots[0]));
+    kb.AppendU32(KissKeyOf(slots[0]));
   } else {
     index.EncodeKey(slots.data(), &kb);
   }

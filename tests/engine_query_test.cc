@@ -407,7 +407,7 @@ TEST_F(VersionedFlightTest, PinnedFlightIgnoresConcurrentWrites) {
     }
     // Q1.x select-joins the live lo_discount index, whose eleven keys
     // share one root bucket: its morsels are duplicate-segment runs
-    // (RunKissValueMorsels' run mode), captured while the writer appends.
+    // (RunValueMorsels' run mode), captured while the writer appends.
     // Key-range morsels would be one morsel for the one bucket.
     if (id[0] == '1' && got.ok()) {
       auto sjoin = std::find_if(

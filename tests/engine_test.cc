@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/agg.h"
+#include "core/base_index.h"
 #include "core/indexed_table.h"
 #include "core/parallel.h"
 #include "engine/parallel_ops.h"
@@ -50,17 +51,6 @@ TEST(WorkerPoolTest, RunsEveryMorselExactlyOnce) {
       EXPECT_EQ(hits[m].load(), 1) << "morsel " << m << " of " << morsels;
     }
   }
-}
-
-TEST(WorkerPoolTest, ZeroWorkersRunsInline) {
-  engine::WorkerPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 1u);
-  std::vector<int> hits(5, 0);
-  pool.Run(5, [&](size_t worker, size_t m) {
-    EXPECT_EQ(worker, 0u);
-    hits[m]++;
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(WorkerPoolTest, ZeroMorselsIsANoop) {
@@ -166,8 +156,8 @@ const char* SpreadName(Spread spread) {
   return "?";
 }
 
-// Rows are (g1, g2, x, y): int keys g1 >= 0 (a KISS scan of negative
-// keys would walk the whole root) and g2 (negative ones included), an
+// Rows are (g1, g2, x, y): int keys g1 >= 0 and g2 (negative ones
+// included), an
 // int x and a double y. y is a multiple of 0.25 well below 2^40, so
 // every double sum is exact in any fold order.
 Schema FoldSchema() {
@@ -268,19 +258,24 @@ void ExpectSameOutput(const IndexedTable& got, const IndexedTable& want,
 
 // Folding the partials equals one table fed every row: for both plain
 // index families and the aggregated prefix shape, every spread of rows
-// over the partials, and 1 and 4 workers.
+// over the partials, and pools of 1 and 4 workers.
 TEST(PartialOutputsTest, FoldEqualsOneTableFedEveryRow) {
+  engine::WorkerPool one(1);
+  engine::WorkerPool four(4);
   for (FoldShape shape : {FoldShape::kKissPlain, FoldShape::kPrefixPlain,
                           FoldShape::kAggregated}) {
     for (Spread spread : {Spread::kOverlapping, Spread::kDisjoint,
                           Spread::kOneSided, Spread::kNoRows}) {
-      for (size_t workers : {1, 4}) {
+      for (engine::WorkerPool* pool : {&one, &four}) {
+        const size_t workers = pool->num_workers();
         const std::string label = std::string(ShapeName(shape)) + ", " +
                                   SpreadName(spread) + ", " +
                                   std::to_string(workers) + " workers";
         auto reference = MakeFoldTable(shape);
         auto output = reference->CloneEmpty();
-        engine::PartialOutputs partials(*output, workers);
+        engine::MorselSite site;
+        site.pool = pool;
+        engine::PartialOutputs partials(site, output.get());
         Rng rng(17);
         const int rows = spread == Spread::kNoRows ? 0 : kFoldRows;
         for (int i = 0; i < rows; ++i) {
@@ -301,7 +296,7 @@ TEST(PartialOutputsTest, FoldEqualsOneTableFedEveryRow) {
           Feed(reference.get(), row);
           Feed(partials.worker(w), row);
         }
-        double ms = partials.MergeInto(engine::MorselSite{}, output.get());
+        double ms = partials.MergeInto(site);
         EXPECT_GE(ms, 0.0) << label;
         ExpectSameOutput(*output, *reference, label);
       }
@@ -315,14 +310,17 @@ TEST(PartialOutputsTest, FoldEqualsOneTableFedEveryRow) {
 TEST(PartialOutputsTest, InsertAfterMergeFoldsIntoMergedGroups) {
   auto reference = MakeFoldTable(FoldShape::kAggregated);
   auto output = reference->CloneEmpty();
-  engine::PartialOutputs partials(*output, 4);
+  engine::WorkerPool pool(4);
+  engine::MorselSite site;
+  site.pool = &pool;
+  engine::PartialOutputs partials(site, output.get());
   Rng rng(29);
   for (int i = 0; i < kFoldRows; ++i) {
     auto row = FoldRow(i, /*disjoint=*/false, &rng);
     Feed(reference.get(), row);
     Feed(partials.worker(static_cast<size_t>(i) % 4), row);
   }
-  (void)partials.MergeInto(engine::MorselSite{}, output.get());
+  (void)partials.MergeInto(site);
   const size_t groups = output->num_keys();
   // Old groups again, then new ones (g1 past the first batch's range).
   Rng again(29);
@@ -344,20 +342,21 @@ TEST(PartialOutputsTest, InsertAfterMergeFoldsIntoMergedGroups) {
 
 // A cancelled query's fold throws before it touches the output.
 TEST(PartialOutputsTest, CancelledTokenThrowsBeforeAnyFold) {
+  engine::WorkerPool pool(4);
   for (FoldShape shape : {FoldShape::kKissPlain, FoldShape::kAggregated}) {
     auto output = MakeFoldTable(shape);
-    engine::PartialOutputs partials(*output, 4);
+    CancelToken token;
+    engine::MorselSite site;
+    site.pool = &pool;
+    site.cancel = &token;
+    engine::PartialOutputs partials(site, output.get());
     Rng rng(31);
     for (int i = 0; i < 400; ++i) {
       Feed(partials.worker(static_cast<size_t>(i) % 4),
            FoldRow(i, /*disjoint=*/false, &rng));
     }
-    CancelToken token;
     token.RequestCancel();
-    engine::MorselSite site;
-    site.cancel = &token;
-    EXPECT_THROW((void)partials.MergeInto(site, output.get()),
-                 CancelledException)
+    EXPECT_THROW((void)partials.MergeInto(site), CancelledException)
         << ShapeName(shape);
     EXPECT_EQ(output->num_tuples(), 0u) << ShapeName(shape);
     EXPECT_EQ(output->num_keys(), 0u) << ShapeName(shape);
@@ -368,17 +367,19 @@ TEST(PartialOutputsTest, CancelledTokenThrowsBeforeAnyFold) {
 // label, and the returned merge time is that span's duration.
 TEST(PartialOutputsTest, TracedMergeRecordsOneSpan) {
   auto output = MakeFoldTable(FoldShape::kPrefixPlain);
-  engine::PartialOutputs partials(*output, 4);
+  engine::WorkerPool pool(4);
+  obs::QueryTrace trace(4);
+  engine::MorselSite site;
+  site.pool = &pool;
+  site.trace = &trace;
+  site.label = "sel:fold";
+  engine::PartialOutputs partials(site, output.get());
   Rng rng(37);
   for (int i = 0; i < 2000; ++i) {
     Feed(partials.worker(static_cast<size_t>(i) % 4),
          FoldRow(i, /*disjoint=*/false, &rng));
   }
-  obs::QueryTrace trace(4);
-  engine::MorselSite site;
-  site.trace = &trace;
-  site.label = "sel:fold";
-  const double ms = partials.MergeInto(site, output.get());
+  const double ms = partials.MergeInto(site);
   EXPECT_EQ(output->num_tuples(), 2000u);
   size_t merges = 0;
   trace.ForEachSpan([&](const obs::TraceSpan& span) {
@@ -391,91 +392,143 @@ TEST(PartialOutputsTest, TracedMergeRecordsOneSpan) {
   EXPECT_EQ(merges, 1u);
 }
 
+// Without a pool (an inline run), worker 0 writes the output itself:
+// nothing is cloned, and the fold returns 0 and records no span.
+TEST(PartialOutputsTest, PoolLessSiteHandsOutTheOutput) {
+  auto output = MakeFoldTable(FoldShape::kPrefixPlain);
+  obs::QueryTrace trace(1);
+  engine::MorselSite site;
+  site.trace = &trace;
+  site.label = "sel:inline";
+  engine::PartialOutputs partials(site, output.get());
+  ASSERT_EQ(partials.worker(0), output.get());
+  Rng rng(41);
+  for (int i = 0; i < 500; ++i) {
+    Feed(partials.worker(0), FoldRow(i, /*disjoint=*/false, &rng));
+  }
+  EXPECT_EQ(partials.MergeInto(site), 0.0);
+  EXPECT_EQ(output->num_tuples(), 500u);
+  size_t spans = 0;
+  trace.ForEachSpan([&](const obs::TraceSpan&) { ++spans; });
+  EXPECT_EQ(spans, 0u);
+}
+
 // ---- value morsels over few root buckets -----------------------------------
 
-// RunKissValueMorsels over keys spanning fewer root buckets than workers
-// takes its run mode: morsels are even slices of the qualifying values,
-// read in place from inline values and duplicate segments. Keys mix
-// inline single values, short lists and lists of several 4 KiB segments
-// (510 values each) over three root buckets of 4096 keys.
-TEST(KissValueMorselsTest, RunMorselsVisitEveryValueOnce) {
-  KissTree::Config cfg;
-  cfg.root_bits = 20;  // 12-bit level-2 fragment: 4096 keys per bucket
-  KissTree tree(cfg);
-  uint64_t next = 0;
-  auto add = [&](uint32_t key, size_t n) {
-    for (size_t i = 0; i < n; ++i) tree.Insert(key, next++);
-  };
-  for (uint32_t bucket = 0; bucket < 3; ++bucket) {
-    const uint32_t base = bucket << 12;
-    for (uint32_t k = 0; k < 10; ++k) add(base + k, 1);
-    for (uint32_t k = 10; k < 20; ++k) add(base + k, 3);
-    for (uint32_t k = 20; k < 23; ++k) add(base + k, 1500 + 700 * k);
-  }
-
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    engine::WorkerPool pool(threads);
-    engine::MorselSite site;
-    site.pool = &pool;
-    // One whole bucket; keys 15–21 of bucket 0 (short lists and two long
-    // ones); with more than three workers also key 5 of bucket 0 through
-    // key 21 of bucket 2.
-    std::vector<std::pair<uint32_t, uint32_t>> spans{{0, 4095}, {15, 21}};
-    if (threads > 3) spans.push_back({5, (2u << 12) + 21});
-    for (const auto& [lo, hi] : spans) {
-      std::vector<uint64_t> want;
-      tree.ScanRange(lo, hi, [&](uint32_t, const KissTree::ValueRef& vals) {
-        vals.ForEach([&](uint64_t v) { want.push_back(v); });
-      });
-      std::sort(want.begin(), want.end());
-
-      // Per worker: values seen, values since the worker's last
-      // end_morsel, and the value count of each morsel it ended.
-      std::vector<std::vector<uint64_t>> seen(threads);
-      std::vector<size_t> pending(threads, 0);
-      std::vector<std::vector<size_t>> ended(threads);
-      size_t morsels = engine::RunKissValueMorsels(
-          site, tree, lo, hi,
-          [&](size_t w, uint64_t v) {
-            seen[w].push_back(v);
-            ++pending[w];
-          },
-          [&](size_t w) {
-            ended[w].push_back(pending[w]);
-            pending[w] = 0;
-          });
-
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " [" + std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]";
-      std::vector<uint64_t> got;
-      std::vector<size_t> sizes;
-      for (size_t w = 0; w < threads; ++w) {
-        got.insert(got.end(), seen[w].begin(), seen[w].end());
-        sizes.insert(sizes.end(), ended[w].begin(), ended[w].end());
-        EXPECT_EQ(pending[w], 0u) << label << ": values after end_morsel";
-      }
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, want) << label;
-      ASSERT_EQ(sizes.size(), morsels) << label;
-      // More morsels than buckets: the run mode split the values.
-      EXPECT_GT(morsels, 3u) << label;
-      auto [smallest, largest] =
-          std::minmax_element(sizes.begin(), sizes.end());
-      EXPECT_LE(*largest - *smallest, 1u) << label;
+// RunValueMorsels over keys spanning fewer root buckets than workers, or
+// over a prefix index, takes its run mode: morsels are even slices of
+// the qualifying values, read in place from inline values and duplicate
+// segments. Keys mix single rows, short duplicate lists and lists of
+// several 4 KiB segments (510 values each) over three KISS root buckets
+// of 4096 keys. Without a pool the driver runs one inline morsel as
+// worker 0 and counts none.
+TEST(ValueMorselsTest, RunMorselsVisitEveryValueOnce) {
+  Database db;
+  {
+    Schema schema({{"k", ValueType::kInt64, nullptr}});
+    auto table = std::make_unique<RowTable>(schema, "t");
+    auto add = [&](int64_t key, size_t n) {
+      uint64_t row[1] = {SlotFromInt64(key)};
+      for (size_t i = 0; i < n; ++i) table->AppendRow(row);
+    };
+    for (int64_t bucket = 0; bucket < 3; ++bucket) {
+      const int64_t base = bucket << 12;
+      for (int64_t k = 0; k < 10; ++k) add(base + k, 1);
+      for (int64_t k = 10; k < 20; ++k) add(base + k, 3);
+      for (int64_t k = 20; k < 23; ++k) add(base + k, 1500 + 700 * k);
     }
+    ASSERT_TRUE(db.AddTable(std::move(table)).ok());
+  }
+  BaseIndex::Options kiss;
+  kiss.kiss_root_bits = 20;  // 12-bit level-2 fragment: 4096 keys per bucket
+  BaseIndex::Options prefix = kiss;
+  prefix.prefer_kiss = false;
+  ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {}, kiss).ok());
+  ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {}, prefix).ok());
+  const RowTable& table = *db.table("t").value();
 
-    // Nothing qualifies: outside the populated span, and a gap between
-    // keys inside one populated bucket.
-    std::atomic<size_t> calls{0};
-    auto count = [&](size_t, uint64_t) { ++calls; };
-    auto end = [&](size_t) { ++calls; };
-    EXPECT_EQ(engine::RunKissValueMorsels(site, tree, 5u << 12, 6u << 12,
-                                          count, end),
-              0u);
-    EXPECT_EQ(engine::RunKissValueMorsels(site, tree, 100, 200, count, end),
-              0u);
-    EXPECT_EQ(calls.load(), 0u);
+  for (const char* name : {"t_kiss", "t_prefix"}) {
+    const BaseIndex& index = *db.index(name).value();
+    for (size_t threads : {size_t{0}, size_t{2}, size_t{4}, size_t{8}}) {
+      std::unique_ptr<engine::WorkerPool> pool;
+      engine::MorselSite site;
+      if (threads > 0) {
+        pool = std::make_unique<engine::WorkerPool>(threads);
+        site.pool = pool.get();
+      }
+      const size_t workers = site.workers();
+      // One whole bucket; keys 15–21 of bucket 0 (short lists and two
+      // long ones); with more than three workers, a prefix index or
+      // inline also key 5 of bucket 0 through key 21 of bucket 2.
+      std::vector<std::pair<int64_t, int64_t>> spans{{0, 4095}, {15, 21}};
+      if (threads != 2 || index.kiss() == nullptr) {
+        spans.push_back({5, (int64_t{2} << 12) + 21});
+      }
+      for (const auto& [lo, hi] : spans) {
+        std::vector<uint64_t> want;  // the rids of keys in [lo, hi]
+        for (Rid r = 0; r < table.num_rows(); ++r) {
+          int64_t k = Int64FromSlot(table.GetSlot(r, 0));
+          if (k >= lo && k <= hi) want.push_back(r);
+        }
+
+        // Per worker: values seen, values since the worker's last
+        // end_morsel, and the value count of each morsel it ended.
+        std::vector<std::vector<uint64_t>> seen(workers);
+        std::vector<size_t> pending(workers, 0);
+        std::vector<std::vector<size_t>> ended(workers);
+        size_t morsels = engine::RunValueMorsels(
+            site, index, KeyPredicate::Range(lo, hi), {},
+            [&](size_t w, uint64_t v) {
+              seen[w].push_back(v);
+              ++pending[w];
+            },
+            [&](size_t w) {
+              ended[w].push_back(pending[w]);
+              pending[w] = 0;
+            });
+
+        const std::string label = std::string(name) +
+                                  " threads=" + std::to_string(threads) +
+                                  " [" + std::to_string(lo) + ", " +
+                                  std::to_string(hi) + "]";
+        std::vector<uint64_t> got;
+        std::vector<size_t> sizes;
+        for (size_t w = 0; w < workers; ++w) {
+          got.insert(got.end(), seen[w].begin(), seen[w].end());
+          sizes.insert(sizes.end(), ended[w].begin(), ended[w].end());
+          EXPECT_EQ(pending[w], 0u) << label << ": values after end_morsel";
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << label;
+        if (threads == 0) {
+          EXPECT_EQ(morsels, 0u) << label;
+          EXPECT_EQ(sizes.size(), 1u) << label << ": one inline morsel";
+          continue;
+        }
+        ASSERT_EQ(sizes.size(), morsels) << label;
+        // More morsels than buckets: the run mode split the values.
+        EXPECT_GT(morsels, 3u) << label;
+        auto [smallest, largest] =
+            std::minmax_element(sizes.begin(), sizes.end());
+        EXPECT_LE(*largest - *smallest, 1u) << label;
+      }
+      if (threads == 0) continue;
+
+      // Nothing qualifies: outside the populated span, and a gap between
+      // keys inside one populated bucket.
+      std::atomic<size_t> calls{0};
+      auto count = [&](size_t, uint64_t) { ++calls; };
+      auto end = [&](size_t) { ++calls; };
+      EXPECT_EQ(engine::RunValueMorsels(site, index,
+                                        KeyPredicate::Range(5 << 12, 6 << 12),
+                                        {}, count, end),
+                0u);
+      EXPECT_EQ(engine::RunValueMorsels(site, index,
+                                        KeyPredicate::Range(100, 200), {},
+                                        count, end),
+                0u);
+      EXPECT_EQ(calls.load(), 0u);
+    }
   }
 }
 

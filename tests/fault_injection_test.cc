@@ -114,15 +114,9 @@ class FaultInjectionTest : public ::testing::Test {
     EXPECT_EQ(runner.queries_running(), 0u);
     EXPECT_EQ(runner.pinned_snapshots(), 0u);
     Plan plan = ScanPlan();
-    auto result = runner.Execute(db, plan, ParallelKnobs());
+    auto result = runner.Execute(db, plan, PlanKnobs{});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->rows.size(), static_cast<size_t>(kInitialRows));
-  }
-
-  static PlanKnobs ParallelKnobs() {
-    PlanKnobs knobs;
-    knobs.threads = 2;
-    return knobs;
   }
 
   static engine::EngineConfig ParallelConfig() {
@@ -139,10 +133,10 @@ class FaultInjectionTest : public ::testing::Test {
   Result<QueryResult> RunUntilHit(EngineRunner& runner, const Database& db,
                                   const char* tag) {
     Plan scan = ScanPlan();
-    auto result = runner.Execute(db, scan, ParallelKnobs());
+    auto result = runner.Execute(db, scan, PlanKnobs{});
     if (fail::HitCount(tag) > 0) return result;
     Plan agg = AggPlan();
-    return runner.Execute(db, agg, ParallelKnobs());
+    return runner.Execute(db, agg, PlanKnobs{});
   }
 };
 
@@ -349,10 +343,8 @@ TEST_F(FaultInjectionTest, ChaosRunDegradesCleanlyUnderConcurrency) {
       Rng rng(80 + r);
       for (size_t i = 0; i < kOpsPerThread; ++i) {
         try {
-          PlanKnobs knobs;
-          knobs.threads = 2;
           Plan plan = ScanPlan();
-          auto result = runner.Execute(*db, plan, knobs);
+          auto result = runner.Execute(*db, plan, PlanKnobs{});
           if (result.ok()) {
             // A consistent snapshot always yields every initial key.
             if (result->rows.size() < static_cast<size_t>(kInitialRows)) {
@@ -374,7 +366,7 @@ TEST_F(FaultInjectionTest, ChaosRunDegradesCleanlyUnderConcurrency) {
   // Clean engine after the storm: full scan matches initial rows plus
   // every row the writers managed to commit.
   Plan plan = ScanPlan();
-  auto result = runner.Execute(*db, plan, ParallelKnobs());
+  auto result = runner.Execute(*db, plan, PlanKnobs{});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(),
             static_cast<size_t>(kInitialRows) + commits.load());

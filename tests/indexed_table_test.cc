@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/indexed_table.h"
+#include "core/sync_scan.h"
 #include "util/rng.h"
 
 namespace qppt {
@@ -410,6 +411,39 @@ TEST(IndexedTableTest, MemoryUsageGrows) {
     (*table)->Insert(row);
   }
   EXPECT_GT((*table)->MemoryUsage(), before);
+}
+
+// Int64 keys on both sides of zero map to both ends of the uint32 KISS
+// key range (KissKeyOf). With the default 26 root bits, scans and
+// MemoryUsage walk only the populated span of each half of the key
+// space, not every root bucket between the two ends.
+TEST(IndexedTableTest, KissKeysAroundZeroStayCheap) {
+  auto make = [] {
+    auto table = IndexedTable::Create(TupleSchema(), {"orderdate"});
+    EXPECT_TRUE(table.ok());
+    for (int64_t k = -150; k < 150; ++k) {
+      uint64_t row[3] = {SlotFromInt64(k), SlotFromInt64(k * 2),
+                         SlotFromInt64(0)};
+      (*table)->Insert(row);
+    }
+    return std::move(table).value();
+  };
+  auto left = make();
+  auto right = make();
+  ASSERT_EQ(left->kind(), IndexedTable::Kind::kKiss);
+  ASSERT_EQ(left->kiss()->config().root_bits, 26u);
+  size_t tuples = 0;
+  left->ScanInOrder([&](const uint64_t*) { ++tuples; });
+  EXPECT_EQ(tuples, 300u);
+  EXPECT_LT(left->MemoryUsage(), size_t{1} << 20);
+  size_t matched = 0;
+  SynchronousScan(*left->kiss(), *right->kiss(),
+                  [&](uint32_t, const KissTree::ValueRef& l,
+                      const KissTree::ValueRef& r) {
+                    EXPECT_EQ(l.front(), r.front());
+                    ++matched;
+                  });
+  EXPECT_EQ(matched, 300u);
 }
 
 }  // namespace

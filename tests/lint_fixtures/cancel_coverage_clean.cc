@@ -33,6 +33,13 @@ void SynchronousScan(const Fn& fn) {
   for (int i = 0; i < 100; ++i) fn(i);
 }
 
+struct BaseIndex {
+  template <typename Fn>
+  void ForEachKey(int predicate, const Fn& fn) const {
+    for (int i = 0; i < predicate; ++i) fn(i);
+  }
+};
+
 // The driver polls once per morsel.
 template <typename Fn>
 void RunMorsels(const MorselSite& site, int count, const Fn& fn) {
@@ -57,6 +64,18 @@ int PolledScan(qppt::ExecContext* ctx) {
   for (int i = 0; i < 8; ++i) {
     for (int j = 0; j < 8; ++j) sum += i * j;
   }
+  return sum;
+}
+
+// Enumerates index keys inline, ticking per value — the inline value
+// driver's pattern.
+int PolledKeyScan(qppt::ExecContext* ctx, const qppt::BaseIndex& index) {
+  qppt::CancelTicker ticker(ctx->cancel());
+  int sum = 0;
+  index.ForEachKey(100, [&](int v) {
+    ticker.Tick();
+    sum += v;
+  });
   return sum;
 }
 

@@ -1,6 +1,7 @@
-// Fixture: a function that reaches a cancel source but never polls it,
+// Fixture: functions that reach a cancel source but never poll it,
 // linted with --treat-as-hot. qppt_lint must flag [cancel-coverage]
-// twice: the scan-primitive call and the outer loop of the nested pair.
+// three times: the scan-primitive call and the outer loop of the nested
+// pair, and the key-enumerator call of an unpolled operator.
 
 namespace qppt {
 
@@ -19,6 +20,13 @@ void SynchronousScan(const Fn& fn) {
   for (int i = 0; i < 100; ++i) fn(i);
 }
 
+struct BaseIndex {
+  template <typename Fn>
+  void ForEachKey(int predicate, const Fn& fn) const {
+    for (int i = 0; i < predicate; ++i) fn(i);
+  }
+};
+
 }  // namespace qppt
 
 namespace fixture {
@@ -29,6 +37,13 @@ int UnpolledScan(qppt::ExecContext* ctx) {
   for (int i = 0; i < 8; ++i) {                     // flagged
     for (int j = 0; j < 8; ++j) sum += i * j;
   }
+  return sum;
+}
+
+// An operator enumerating index keys with no poll on its cancel source.
+int UnpolledKeyScan(qppt::ExecContext* ctx, const qppt::BaseIndex& index) {
+  int sum = ctx != nullptr ? 1 : 0;
+  index.ForEachKey(100, [&](int v) { sum += v; });  // flagged
   return sum;
 }
 

@@ -34,7 +34,7 @@ CASES = [
     ("ranked_lock_violation.cc", [], {"ranked-lock": 3}),
     ("ranked_lock_clean.cc", [], {}),
     ("cancel_coverage_violation.cc", ["--treat-as-hot"],
-     {"cancel-coverage": 2}),
+     {"cancel-coverage": 3}),
     ("cancel_coverage_clean.cc", ["--treat-as-hot"], {}),
     ("planstats_violation.cc", [], {"planstats-clear": 1}),
     ("planstats_clean.cc", [], {}),

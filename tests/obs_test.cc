@@ -216,7 +216,7 @@ TEST(MetricsRegistryTest, GlobalIsProcessWideAndEngineInstrumented) {
   EXPECT_EQ(&g1, &g2);
   // Constructing a pool registers the scheduler metrics in the global
   // registry (qppt_bench's per-layer engine metrics read these names).
-  engine::WorkerPool pool(0);
+  engine::WorkerPool pool(1);
   MetricsSnapshot snap = g1.Snapshot();
   EXPECT_NE(snap.Find("engine_tasks_executed_total"), nullptr);
   EXPECT_NE(snap.Find("engine_tasks_stolen_total"), nullptr);

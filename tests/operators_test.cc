@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -513,6 +514,38 @@ TEST_F(OperatorsTest, MultidimensionalSelection) {
   bad.composite_range = {{5, 9}};
   SelectionOp bad_op(bad);
   EXPECT_TRUE(bad_op.Execute(&ctx2).IsInvalidArgument());
+
+  // So is a one-column point, IN or range predicate on the two-column
+  // key (its encoding would read a key slot that is not there), in a
+  // selection and in a select-join; all still scans every key.
+  for (const KeyPredicate& pred :
+       {KeyPredicate::Point(5), KeyPredicate::In({5, 6}),
+        KeyPredicate::Range(5, 9)}) {
+    ExecContext ctx3(&db_, Knobs());
+    SelectionSpec one_column = spec;
+    one_column.composite_range.clear();
+    one_column.predicate = pred;
+    SelectionOp one_column_op(one_column);
+    EXPECT_TRUE(one_column_op.Execute(&ctx3).IsInvalidArgument());
+    SelectJoinSpec sj;
+    sj.input_index = "part_brand_pk";
+    sj.predicate = pred;
+    sj.left_columns = {"partkey", "brand"};
+    sj.probe_column = "partkey";
+    sj.right = SideRef::Base("part_pk");
+    sj.right_columns = {};
+    sj.output = {"sj", {"partkey"}, {}};
+    SelectJoinOp sj_op(sj);
+    EXPECT_TRUE(sj_op.Execute(&ctx3).IsInvalidArgument());
+  }
+  ExecContext ctx4(&db_, Knobs());
+  SelectionSpec all = spec;
+  all.composite_range.clear();
+  all.predicate = KeyPredicate::All();
+  SelectionOp all_op(all);
+  ASSERT_TRUE(all_op.Execute(&ctx4).ok());
+  EXPECT_EQ(ctx4.Get("sel").value()->num_tuples(),
+            static_cast<size_t>(kNumParts));
 }
 
 TEST_F(OperatorsTest, PlanErrorsSurface) {
@@ -615,24 +648,31 @@ TEST(StarJoinFamiliesTest, ExtremeKeysJoinIdenticallyAcrossFamilies) {
 // drivers checked the token, so a single-threaded join of two large
 // mains was unstoppable. The operator is driven directly (not through
 // Plan::Run) so the plan-boundary check cannot mask a missing in-loop
-// poll; a pre-cancelled token must unwind via CancelledException after
-// at most kCancelStride emitted pairs.
+// poll. An inline run also polls once before its one morsel, so the
+// token's deadline is set to expire after that poll, early in a scan of
+// a million emitted pairs (sales self-joined on partkey), which must
+// then unwind via CancelledException from its per-pair ticks.
 TEST_F(OperatorsTest, SerialStarJoinPollsCancellationMidScan) {
-  CancelToken cancelled;
-  cancelled.RequestCancel();
+  CancelToken token;
   PlanKnobs knobs = Knobs();
-  knobs.cancel = &cancelled;
+  knobs.cancel = &token;
   ExecContext ctx(&db_, knobs);
 
-  // sales ⋈ part on partkey: 20000 emitted pairs > kCancelStride.
-  StarJoinOp op(SalesPartJoin());
+  StarJoinSpec join;
+  join.left = SideRef::Base("sales_partkey");
+  join.left_columns = {"orderdate", "amount"};
+  join.right = SideRef::Base("sales_partkey");
+  join.right_columns = {"custkey"};
+  join.output = {"result", {"orderdate"}, {}};
+  StarJoinOp op(join);
+  token.SetDeadlineAfter(2);
   bool unwound = false;
   try {
     Status st = op.Execute(&ctx);
     FAIL() << "serial star join ignored its cancel token: " << st;
   } catch (const CancelledException& e) {
     unwound = true;
-    EXPECT_TRUE(e.status().IsCancelled()) << e.status();
+    EXPECT_TRUE(e.status().IsDeadlineExceeded()) << e.status();
   }
   EXPECT_TRUE(unwound);
 }
@@ -647,7 +687,6 @@ TEST_F(OperatorsTest, PooledOperatorsPollCancellationPerMorsel) {
   engine::WorkerPool pool(4);
   auto run = [&](Operator* op, const CancelToken* cancel) {
     PlanKnobs knobs = Knobs();
-    knobs.threads = 4;
     knobs.cancel = cancel;
     ExecContext ctx(&db_, knobs);
     ctx.set_worker_pool(&pool);
@@ -694,18 +733,23 @@ TEST_F(OperatorsTest, PooledOperatorsPollCancellationPerMorsel) {
 // KISS keys are KissKeyOf(v), the low 32 bits of v, so a range whose
 // bounds straddle zero maps to two key ranges (BaseIndex::KissRangesOf).
 // Selection and select-join over a KISS base index must return the rows
-// a prefix base index returns, serially and on the morsel path.
+// a prefix base index returns, inline and forked, for every predicate
+// kind: ranges, a point, IN with a repeated point, all, and a composite
+// range (selection only; over the two-column prefix index t_kg, and as
+// a one-column box over t_kiss and t_prefix). Rows must equal the
+// generating rules at 1 and 4 workers; point and IN never fork, nothing
+// forks without a pool, and the wide scans fork on both families.
 TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
   constexpr int64_t kSpan = 10000;
   constexpr int64_t kGroups = 50;
+  auto group_of = [](int64_t k) { return ((k % kGroups) + kGroups) % kGroups; };
   Database db;
   {
     Schema schema({{"k", ValueType::kInt64, nullptr},
                    {"g", ValueType::kInt64, nullptr}});
     auto t = std::make_unique<RowTable>(schema, "t");
     for (int64_t k = -kSpan; k <= kSpan; ++k) {
-      uint64_t row[2] = {SlotFromInt64(k),
-                         SlotFromInt64(((k % kGroups) + kGroups) % kGroups)};
+      uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(group_of(k))};
       t->AppendRow(row);
     }
     ASSERT_TRUE(db.AddTable(std::move(t)).ok());
@@ -724,6 +768,7 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
   prefix.prefer_kiss = false;
   ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {"g"}, kiss).ok());
   ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {"g"}, prefix).ok());
+  ASSERT_TRUE(db.BuildIndex("t_kg", "t", {"k", "g"}, {}, prefix).ok());
   ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}, kiss).ok());
   ASSERT_EQ(db.index("t_kiss").value()->kind(), BaseIndex::Kind::kKiss);
   ASSERT_EQ(db.index("t_prefix").value()->kind(), BaseIndex::Kind::kPrefix);
@@ -734,7 +779,6 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
                  uint64_t* morsels) {
     PlanKnobs knobs;
     knobs.table_options.kiss_root_bits = 20;
-    knobs.threads = threads;
     ExecContext ctx(&db, knobs);
     if (threads > 1) ctx.set_worker_pool(&pool);
     Plan plan;
@@ -752,18 +796,20 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
     *morsels = ctx.stats()->TotalMorsels();
     return rows;
   };
-  auto selection = [](const std::string& index, int64_t lo, int64_t hi) {
+  auto selection = [](const std::string& index, const KeyPredicate& pred,
+                      const CompositeRange& box = {}) {
     SelectionSpec sel;
     sel.input_index = index;
-    sel.predicate = KeyPredicate::Range(lo, hi);
+    sel.predicate = pred;
+    sel.composite_range = box;
     sel.carry_columns = {"k", "g"};
     sel.output = {"result", {"k"}, {}};
     return std::make_unique<SelectionOp>(sel);
   };
-  auto select_join = [](const std::string& index, int64_t lo, int64_t hi) {
+  auto select_join = [](const std::string& index, const KeyPredicate& pred) {
     SelectJoinSpec sj;
     sj.input_index = index;
-    sj.predicate = KeyPredicate::Range(lo, hi);
+    sj.predicate = pred;
     sj.left_columns = {"k", "g"};
     sj.probe_column = "g";
     sj.right = SideRef::Base("dim_g");
@@ -772,36 +818,89 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
     return std::make_unique<SelectJoinOp>(sj);
   };
 
-  const std::vector<std::pair<int64_t, int64_t>> ranges{
-      {-5, -1}, {-5, 3}, {0, 3}, {3, -5}, {-kSpan, kSpan}};
-  for (const auto& [lo, hi] : ranges) {
+  // Each case: a predicate (or, when `box` is set, a composite range),
+  // the keys it selects, the indexes it runs on, and whether a 4-worker
+  // run must fork into more than one morsel (`wide`) or not at all
+  // (`inline_only`).
+  struct Case {
+    std::string name;
+    KeyPredicate pred;
+    CompositeRange box;
+    std::function<bool(int64_t k)> selects;
+    std::vector<std::string> indexes;
+    bool wide = false;
+    bool inline_only = false;
+  };
+  const std::vector<std::string> both{"t_kiss", "t_prefix"};
+  std::vector<Case> cases;
+  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+           {-5, -1}, {-5, 3}, {0, 3}, {3, -5}, {-kSpan, kSpan}}) {
+    cases.push_back({"range [" + std::to_string(lo) + ", " +
+                         std::to_string(hi) + "]",
+                     KeyPredicate::Range(lo, hi),
+                     {},
+                     [lo, hi](int64_t k) { return k >= lo && k <= hi; },
+                     both,
+                     lo == -kSpan && hi == kSpan});
+  }
+  cases.push_back({"point -7", KeyPredicate::Point(-7), {},
+                   [](int64_t k) { return k == -7; }, both, false, true});
+  cases.push_back({"in {-7, 3, -7, 9999}",
+                   KeyPredicate::In({-7, 3, -7, 9999}),
+                   {},
+                   [](int64_t k) { return k == -7 || k == 3 || k == 9999; },
+                   both, false, true});
+  cases.push_back({"all", KeyPredicate::All(), {},
+                   [](int64_t) { return true; }, both, true});
+  cases.push_back({"composite (k, g) in [-6000, 6000] x [10, 20]",
+                   {},
+                   {{-6000, 6000}, {10, 20}},
+                   [&](int64_t k) {
+                     return k >= -6000 && k <= 6000 && group_of(k) >= 10 &&
+                            group_of(k) <= 20;
+                   },
+                   {"t_kg"},
+                   true});
+  cases.push_back({"composite k in [-3000, 2000]",
+                   {},
+                   {{-3000, 2000}},
+                   [](int64_t k) { return k >= -3000 && k <= 2000; },
+                   both,
+                   true});
+
+  for (const Case& c : cases) {
     Rows want_sel;
     Rows want_join;
-    for (int64_t k = std::max(lo, -kSpan); k <= std::min(hi, kSpan); ++k) {
-      int64_t g = ((k % kGroups) + kGroups) % kGroups;
-      want_sel.insert({k, g});
-      want_join.insert({k, g, g * 7});
+    for (int64_t k = -kSpan; k <= kSpan; ++k) {
+      if (!c.selects(k)) continue;
+      want_sel.insert({k, group_of(k)});
+      want_join.insert({k, group_of(k), group_of(k) * 7});
     }
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (const char* index : {"t_kiss", "t_prefix"}) {
-        std::string label = std::string(index) + " [" + std::to_string(lo) +
-                            ", " + std::to_string(hi) +
-                            "] threads=" + std::to_string(threads);
+      for (const std::string& index : c.indexes) {
+        const std::string label =
+            index + " " + c.name + " threads=" + std::to_string(threads);
         uint64_t morsels = 0;
-        EXPECT_EQ(run(selection(index, lo, hi), threads, &morsels), want_sel)
+        EXPECT_EQ(run(selection(index, c.pred, c.box), threads, &morsels),
+                  want_sel)
             << "selection over " << label;
-        EXPECT_EQ(run(select_join(index, lo, hi), threads, &morsels),
+        if (threads == 1 || c.inline_only) {
+          EXPECT_EQ(morsels, 0u) << "selection over " << label;
+        } else if (c.wide) {
+          EXPECT_GT(morsels, 1u) << "selection over " << label;
+        }
+        if (!c.box.empty()) continue;  // select-join takes no box
+        EXPECT_EQ(run(select_join(index, c.pred), threads, &morsels),
                   want_join)
             << "select-join over " << label;
+        if (threads == 1 || c.inline_only) {
+          EXPECT_EQ(morsels, 0u) << "select-join over " << label;
+        } else if (c.wide) {
+          EXPECT_GT(morsels, 1u) << "select-join over " << label;
+        }
       }
     }
   }
-  // The wrapping range really takes the morsel path on the KISS index.
-  uint64_t morsels = 0;
-  run(selection("t_kiss", -kSpan, kSpan), 4, &morsels);
-  EXPECT_GT(morsels, 1u);
-  run(select_join("t_kiss", -kSpan, kSpan), 4, &morsels);
-  EXPECT_GT(morsels, 1u);
 }
 
 // IN is a set: a point listed twice selects its rows once, and on a
@@ -1025,6 +1124,79 @@ TEST_F(DoubleResidualTest, SelectJoinComparesValues) {
     EXPECT_EQ(Prices(select_join(index, Residual::Between("price", -2, 1))),
               (P{-1.5, 0.5}))
         << index;
+  }
+}
+
+// A forked operator's materialize_ms ends before the fold of its
+// partials, which is merge_ms alone, so the two never add up past the
+// operator's total_ms. Checked for a range selection, a select-join and
+// a star join on a 4-worker pool, each with a 60k-tuple plain output.
+TEST(PhaseTimesTest, MaterializeExcludesTheFold) {
+  constexpr int64_t kRows = 60000;
+  constexpr int64_t kGroups = 100;
+  Database db;
+  {
+    Schema schema({{"k", ValueType::kInt64, nullptr},
+                   {"g", ValueType::kInt64, nullptr}});
+    auto fact = std::make_unique<RowTable>(schema, "fact");
+    for (int64_t k = 0; k < kRows; ++k) {
+      uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(k % kGroups)};
+      fact->AppendRow(row);
+    }
+    ASSERT_TRUE(db.AddTable(std::move(fact)).ok());
+    Schema dim_schema({{"g", ValueType::kInt64, nullptr},
+                       {"label", ValueType::kInt64, nullptr}});
+    auto dim = std::make_unique<RowTable>(dim_schema, "dim");
+    for (int64_t g = 0; g < kGroups; ++g) {
+      uint64_t row[2] = {SlotFromInt64(g), SlotFromInt64(g * 3)};
+      dim->AppendRow(row);
+    }
+    ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
+  }
+  BaseIndex::Options opt;
+  opt.kiss_root_bits = 20;
+  ASSERT_TRUE(db.BuildIndex("fact_k", "fact", {"k"}, {"g"}, opt).ok());
+  ASSERT_TRUE(db.BuildIndex("fact_g", "fact", {"g"}, {"k"}, opt).ok());
+  ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}, opt).ok());
+
+  engine::WorkerPool pool(4);
+  auto run = [&](std::unique_ptr<Operator> op) {
+    PlanKnobs knobs;
+    knobs.table_options.kiss_root_bits = 20;
+    ExecContext ctx(&db, knobs);
+    ctx.set_worker_pool(&pool);
+    Plan plan;
+    plan.Add(std::move(op));
+    EXPECT_TRUE(plan.Run(&ctx).ok());
+    return ctx.stats()->operators.back();
+  };
+  SelectionSpec sel;
+  sel.input_index = "fact_k";
+  sel.predicate = KeyPredicate::Range(0, kRows - 1);
+  sel.carry_columns = {"k", "g"};
+  sel.output = {"result", {"k"}, {}};
+  SelectJoinSpec sj;
+  sj.input_index = "fact_k";
+  sj.predicate = KeyPredicate::Range(0, kRows - 1);
+  sj.left_columns = {"k", "g"};
+  sj.probe_column = "g";
+  sj.right = SideRef::Base("dim_g");
+  sj.right_columns = {"label"};
+  sj.output = {"result", {"k"}, {}};
+  StarJoinSpec join;
+  join.left = SideRef::Base("fact_g");
+  join.left_columns = {"k", "g"};
+  join.right = SideRef::Base("dim_g");
+  join.right_columns = {"label"};
+  join.output = {"result", {"k"}, {}};
+  for (const OperatorStats& st :
+       {run(std::make_unique<SelectionOp>(sel)),
+        run(std::make_unique<SelectJoinOp>(sj)),
+        run(std::make_unique<StarJoinOp>(join))}) {
+    EXPECT_EQ(st.output_tuples, static_cast<uint64_t>(kRows)) << st.name;
+    EXPECT_GT(st.morsels, 0u) << st.name;
+    EXPECT_GT(st.merge_ms, 0.0) << st.name;
+    EXPECT_LE(st.materialize_ms + st.merge_ms, st.total_ms) << st.name;
   }
 }
 
