@@ -30,8 +30,10 @@ inline std::unique_ptr<ssb::SsbData> LoadSsb(bool build_indexes = true) {
   cfg.seed = 42;
   cfg.build_indexes = build_indexes;
   // QPPT_PREFER_KISS=0 builds the base-index pool with generalized
-  // prefix trees, steering the flight through the prefix-tree and
-  // mixed-family star-join paths.
+  // prefix trees. Intermediates stay KISS-Trees (the benches' PlanKnobs
+  // keep prefer_kiss), so every star join of a base index with an
+  // intermediate takes the mixed KISS x prefix path; none runs prefix x
+  // prefix.
   cfg.prefer_kiss = GetEnvInt64("QPPT_PREFER_KISS", 1) != 0;
   auto data = ssb::Generate(cfg);
   if (!data.ok()) {

@@ -4,7 +4,7 @@
 // Workload (§2.5): upsert keys picked uniformly at random from a dense
 // sequential range of size N. Series: PT4 (generalized prefix tree,
 // k'=4), GLIB (chained hash table), BOOST (open-addressing hash table),
-// KISS (uncompressed KISS-Tree), KISS Batched (§2.3 batch upserts).
+// KISS (KISS-Tree, flat level-2 nodes), KISS Batched (§2.3 batch upserts).
 // The paper reports time per key at N = 1M/16M/64M; default sizes here
 // are 1M/4M/16M (set QPPT_FIG3_MAX_SHIFT=26 for the 64M point).
 

@@ -14,6 +14,8 @@
 //
 // Usage: ./engine_server [scale_factor] [workers] [clients]
 //        (defaults: 0.05, hardware threads, 4)
+// Exits 1, naming the failing Status, when any client's query or read
+// fails.
 
 #include <cstdint>
 #include <cstdio>
@@ -99,8 +101,10 @@ int main(int argc, char** argv) {
   }
 
   // Mixed workload: even client ids run OLAP flights, odd ids run lookups.
+  // A client stops at its first failed query or read and records why.
   ForkJoin fork(clients);
   std::vector<std::string> reports(clients);
+  std::vector<Status> failures(clients);
   for (size_t c = 0; c < clients; ++c) {
     fork.Spawn([&, c] {
       char buf[160];
@@ -109,7 +113,10 @@ int main(int argc, char** argv) {
           const std::string& id = olap_ids[q];
           PlanStats stats;
           auto result = runner.Execute(prepared[q], {}, PlanKnobs{}, &stats);
-          if (!result.ok()) return;
+          if (!result.ok()) {
+            failures[c] = result.status();
+            return;
+          }
           std::snprintf(buf, sizeof(buf),
                         "  client %zu: Q%s -> %4zu rows  %7.2f ms  "
                         "%3llu morsels\n",
@@ -126,7 +133,10 @@ int main(int argc, char** argv) {
                         (1 + static_cast<int64_t>((i / 7) % 12)) * 100 +
                         (1 + static_cast<int64_t>((c + i) % 28));
           auto ids = runner.PointRead(*by_date, day);
-          if (!ids.ok()) return;
+          if (!ids.ok()) {
+            failures[c] = ids.status();
+            return;
+          }
           hits += ids->size();
         }
         std::snprintf(buf, sizeof(buf),
@@ -164,5 +174,13 @@ int main(int argc, char** argv) {
   // by_date is about to go out of scope with mat_ctx: evict its read
   // batcher so the runner holds no dangling table reference.
   runner.ReleaseReads(*by_date);
-  return 0;
+
+  int exit_code = 0;
+  for (size_t c = 0; c < clients; ++c) {
+    if (failures[c].ok()) continue;
+    std::fprintf(stderr, "client %zu failed: %s\n", c,
+                 failures[c].ToString().c_str());
+    exit_code = 1;
+  }
+  return exit_code;
 }

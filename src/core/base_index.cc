@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/indexed_table.h"
 #include "util/prefetch.h"
 
 namespace qppt {
@@ -136,6 +137,7 @@ Status BaseIndex::Init(const RowTable* table, const Rid* rids, size_t n,
   if (key_names_.empty()) {
     return Status::InvalidArgument("base index needs at least one key column");
   }
+  QPPT_RETURN_NOT_OK(CheckTreeShape(options.kprime, options.kiss_root_bits));
   if (key_names_.size() > KeyBuf::kCapacity / 8) {
     return Status::InvalidArgument(
         "base index takes at most " + std::to_string(KeyBuf::kCapacity / 8) +

@@ -71,6 +71,8 @@ class BaseIndex {
  public:
   enum class Kind : uint8_t { kKiss, kPrefix };
 
+  // Every build checks kprime and kiss_root_bits with CheckTreeShape
+  // (core/indexed_table.h).
   struct Options {
     size_t kprime = 4;
     bool prefer_kiss = true;

@@ -54,6 +54,20 @@ constexpr size_t kInitialGroupSlots = 64;
 
 }  // namespace
 
+Status CheckTreeShape(size_t kprime, size_t kiss_root_bits) {
+  if (kprime >= 1 && kprime <= PrefixTree::kMaxKprime &&
+      kiss_root_bits >= KissTree::kMinRootBits &&
+      kiss_root_bits <= KissTree::kMaxRootBits) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "tree shape needs 1 <= kprime <= " +
+      std::to_string(PrefixTree::kMaxKprime) + " and " +
+      std::to_string(KissTree::kMinRootBits) + " <= kiss_root_bits <= " +
+      std::to_string(KissTree::kMaxRootBits) + ", got " +
+      std::to_string(kprime) + " and " + std::to_string(kiss_root_bits));
+}
+
 Result<std::unique_ptr<IndexedTable>> IndexedTable::Create(
     Schema schema, std::vector<std::string> key_columns, Options options) {
   auto table = std::unique_ptr<IndexedTable>(new IndexedTable());
@@ -93,6 +107,7 @@ Status IndexedTable::Init(Schema schema,
   if (key_columns.empty()) {
     return Status::InvalidArgument("indexed table needs at least one key column");
   }
+  QPPT_RETURN_NOT_OK(CheckTreeShape(options.kprime, options.kiss_root_bits));
   if (key_columns.size() > KeyBuf::kCapacity / 8) {
     return Status::InvalidArgument(
         "indexed table takes at most " +
@@ -186,21 +201,6 @@ void IndexedTable::Insert(const uint64_t* row) {
     EncodeKey(slots, &key);
     prefix_->Insert(key.data(), id);
   }
-}
-
-bool IndexedTable::InsertIfAbsent(const uint64_t* row) {
-  assert(agg_.empty());
-  if (kind_ == Kind::kKiss) {
-    if (kiss_->Contains(KissKeyOf(row[key_cols_[0]]))) return false;
-  } else {
-    KeyBuf key;
-    uint64_t slots[KeyBuf::kCapacity / 8];
-    for (size_t i = 0; i < key_cols_.size(); ++i) slots[i] = row[key_cols_[i]];
-    EncodeKey(slots, &key);
-    if (prefix_->Find(key.data()) != nullptr) return false;
-  }
-  Insert(row);
-  return true;
 }
 
 std::unique_ptr<IndexedTable> IndexedTable::CloneEmpty() const {

@@ -50,10 +50,19 @@
 
 namespace qppt {
 
+// InvalidArgument unless 1 <= kprime <= PrefixTree::kMaxKprime and
+// KissTree::kMinRootBits <= kiss_root_bits <= KissTree::kMaxRootBits, the
+// tree shapes the constructors assert. IndexedTable and BaseIndex builds
+// return it, so a Release build rejects an unsupported shape instead of
+// hanging or crashing in the tree.
+Status CheckTreeShape(size_t kprime, size_t kiss_root_bits);
+
 class IndexedTable {
  public:
   enum class Kind : uint8_t { kKiss, kPrefix };
 
+  // Create and CreateAggregated check kprime and kiss_root_bits with
+  // CheckTreeShape.
   struct Options {
     size_t kprime = 4;          // prefix-tree fragment width
     bool prefer_kiss = true;    // use the KISS-Tree when the key allows
@@ -108,10 +117,6 @@ class IndexedTable {
 
   // Appends `row` (schema_.num_columns() slots) and indexes it.
   void Insert(const uint64_t* row);
-
-  // Inserts `row` only if its key is not yet present (distinct-union
-  // semantics, §4.1). Returns true if inserted.
-  bool InsertIfAbsent(const uint64_t* row);
 
   // Tuple access by the ids stored in the index.
   const uint64_t* Tuple(uint64_t id) const {

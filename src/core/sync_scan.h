@@ -12,8 +12,6 @@
 // generalized prefix trees the scan recurses structurally; content nodes
 // met above the full key depth (dynamic expansion) are matched against the
 // other tree's subtree directly.
-//
-// The same scan drives the set operators (intersection, §4.1).
 
 #ifndef QPPT_CORE_SYNC_SCAN_H_
 #define QPPT_CORE_SYNC_SCAN_H_

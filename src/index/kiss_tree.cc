@@ -2,12 +2,10 @@
 
 #include "util/failpoint.h"
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <new>
 #include <sys/mman.h>
@@ -91,12 +89,7 @@ KissTree::KissTree(Config config)
       l2_fanout_(size_t{1} << level2_bits_),
       root_size_(size_t{1} << config.root_bits),
       value_arena_(/*block_size=*/256 * 1024) {
-  // Level-2 fanout is 2^(32 - root_bits); keep nodes between 64 entries
-  // (the paper's 26/6 split) and 64 Ki entries (tiny test trees).
-  assert(config.root_bits >= 16 && config.root_bits <= 26);
-  // The bitmask compression uses one uint64 mask, so it requires the
-  // paper's exact 26/6 split (64 slots per level-2 node).
-  assert(!config.compress || level2_bits_ <= 6);
+  assert(config.root_bits >= kMinRootBits && config.root_bits <= kMaxRootBits);
   // The paper's trick: reserve the root virtually; the OS materializes
   // zero-filled 4 KiB pages on first write, so a sparse tree never pays
   // for the full 256 MiB root.
@@ -163,62 +156,13 @@ uint64_t* KissTree::FindOrCreateEntrySlot(uint32_t key) {
   // root/entry state are safe; every publication store is release so
   // lock-free readers see initialized nodes.
   uint32_t handle = root_[bucket];
-  if (!config_.compress) {
-    if (handle == CompactSlab::kNullHandle) {
-      // Slab memory is zero on allocation (anonymous mapping), so the new
-      // node's empty slots need no explicit clear.
-      handle = slab_.Allocate(l2_fanout_ * sizeof(uint64_t));
-      StoreRootSlot(&root_[bucket], handle);
-    }
-    return UncompressedEntries(handle) + slot;
-  }
-  // Compressed node: {bitmask, packed entries}. Slot additions copy the
-  // node (RCU-style) and swap the compact pointer — this is the update
-  // overhead QPPT avoids for dense ranges by disabling compression (§2.2).
-  uint64_t slot_bit = uint64_t{1} << slot;
   if (handle == CompactSlab::kNullHandle) {
-    uint32_t fresh = slab_.Allocate(2 * sizeof(uint64_t));
-    uint64_t* node = UncompressedEntries(fresh);
-    node[0] = slot_bit;
-    node[1] = 0;
-    StoreRootSlot(&root_[bucket], fresh);
-    return node + 1;
+    // Slab memory is zero on allocation (anonymous mapping), so the new
+    // node's empty slots need no explicit clear.
+    handle = slab_.Allocate(l2_fanout_ * sizeof(uint64_t));
+    StoreRootSlot(&root_[bucket], handle);
   }
-  uint64_t* node = UncompressedEntries(handle);
-  uint64_t mask = node[0];
-  size_t rank = static_cast<size_t>(std::popcount(mask & (slot_bit - 1)));
-  if (mask & slot_bit) {
-    return node + 1 + rank;
-  }
-  size_t old_count = static_cast<size_t>(std::popcount(mask));
-  uint32_t fresh = slab_.Allocate((old_count + 2) * sizeof(uint64_t));
-  uint64_t* copy = UncompressedEntries(fresh);
-  copy[0] = mask | slot_bit;
-  // Copy entries below the new slot, leave a hole, copy the rest.
-  std::memcpy(copy + 1, node + 1, rank * sizeof(uint64_t));
-  copy[1 + rank] = 0;
-  std::memcpy(copy + 2 + rank, node + 1 + rank,
-              (old_count - rank) * sizeof(uint64_t));
-  // Old node becomes RCU garbage in the slab; in-flight readers keep
-  // traversing it safely.
-  StoreRootSlot(&root_[bucket], fresh);
-  return copy + 1 + rank;
-}
-
-uint64_t KissTree::FindEntry(uint32_t key) const {
-  size_t bucket = key >> level2_bits_;
-  uint32_t slot = key & static_cast<uint32_t>(l2_fanout_ - 1);
-  uint32_t handle = LoadRootSlot(&root_[bucket]);
-  if (handle == CompactSlab::kNullHandle) return 0;
-  if (!config_.compress) {
-    return LoadEntry(UncompressedEntries(handle) + slot);
-  }
-  const uint64_t* node = UncompressedEntries(handle);
-  uint64_t mask = LoadEntry(node);
-  uint64_t slot_bit = uint64_t{1} << slot;
-  if (!(mask & slot_bit)) return 0;
-  size_t rank = static_cast<size_t>(std::popcount(mask & (slot_bit - 1)));
-  return LoadEntry(node + 1 + rank);
+  return Entries(handle) + slot;
 }
 
 void KissTree::AppendToEntry(uint64_t* entry, uint64_t value) {
@@ -258,7 +202,9 @@ void KissTree::Upsert(uint32_t key, uint64_t value) {
 }
 
 bool KissTree::Lookup(uint32_t key, ValueRef* out) const {
-  uint64_t entry = FindEntry(key);
+  uint64_t entry =
+      Level2Entry(LoadRootSlot(&root_[key >> level2_bits_]),
+                  key & static_cast<uint32_t>(l2_fanout_ - 1));
   if (entry == 0) return false;
   *out = DecodeEntry(entry);
   return true;
@@ -274,18 +220,15 @@ void KissTree::BatchLookup(std::span<LookupJob> jobs) const {
     job.l2_handle = LoadRootSlot(&root_[job.key >> level2_bits_]);
     job.found = false;
     if (job.l2_handle == CompactSlab::kNullHandle) continue;
-    const void* node = slab_.Resolve(job.l2_handle);
-    if (!config_.compress) {
-      uint32_t slot = job.key & static_cast<uint32_t>(l2_fanout_ - 1);
-      PrefetchRead(static_cast<const uint64_t*>(node) + slot);
-    } else {
-      PrefetchRead(node);  // bitmask word; packed entry follows closely
-    }
+    uint32_t slot = job.key & static_cast<uint32_t>(l2_fanout_ - 1);
+    PrefetchRead(Entries(job.l2_handle) + slot);
   }
-  // Stage 3: resolve entries (level-2 lines are in cache).
+  // Stage 3: resolve entries (level-2 lines are in cache). A published
+  // root entry never changes, so stage 2's handle is still the node.
   for (auto& job : jobs) {
     if (job.l2_handle == CompactSlab::kNullHandle) continue;
-    uint64_t entry = FindEntry(job.key);
+    uint64_t entry = Level2Entry(
+        job.l2_handle, job.key & static_cast<uint32_t>(l2_fanout_ - 1));
     if (entry != 0) {
       job.found = true;
       job.values = DecodeEntry(entry);
@@ -299,35 +242,15 @@ void KissTree::BatchUpsert(std::span<UpsertJob> jobs) {
   }
   // Second pass prefetches existing level-2 slots; creation still happens
   // in the apply pass because it mutates the slab.
-  if (!config_.compress) {
-    for (const auto& job : jobs) {
-      uint32_t handle = root_[job.key >> level2_bits_];
-      if (handle != CompactSlab::kNullHandle) {
-        uint32_t slot = job.key & static_cast<uint32_t>(l2_fanout_ - 1);
-        PrefetchWrite(UncompressedEntries(handle) + slot);
-      }
+  for (const auto& job : jobs) {
+    uint32_t handle = root_[job.key >> level2_bits_];
+    if (handle != CompactSlab::kNullHandle) {
+      uint32_t slot = job.key & static_cast<uint32_t>(l2_fanout_ - 1);
+      PrefetchWrite(Entries(handle) + slot);
     }
   }
   for (const auto& job : jobs) {
     Upsert(job.key, job.value);
-  }
-}
-
-void KissTree::BatchInsert(std::span<UpsertJob> jobs) {
-  for (const auto& job : jobs) {
-    PrefetchWrite(&root_[job.key >> level2_bits_]);
-  }
-  if (!config_.compress) {
-    for (const auto& job : jobs) {
-      uint32_t handle = root_[job.key >> level2_bits_];
-      if (handle != CompactSlab::kNullHandle) {
-        uint32_t slot = job.key & static_cast<uint32_t>(l2_fanout_ - 1);
-        PrefetchWrite(UncompressedEntries(handle) + slot);
-      }
-    }
-  }
-  for (const auto& job : jobs) {
-    Insert(job.key, job.value);
   }
 }
 

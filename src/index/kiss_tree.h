@@ -12,12 +12,12 @@
 // first written — the paper's on-demand allocation trick. root_bits is
 // configurable so tests can run tiny trees.
 //
-// Level-2 nodes come in two flavors:
-//   * uncompressed — a flat array of 2^(32-root_bits) entries, updated in
-//     place. QPPT uses this for dense key ranges to avoid copy overhead.
-//   * bitmask-compressed — {bitmask, packed entries[popcount]}; adding a
-//     slot performs an RCU-style copy of the node and swaps the compact
-//     pointer, as in the original KISS-Tree.
+// A level-2 node is a flat array of 2^(32-root_bits) 8-byte entries,
+// updated in place. QPPT runs its KISS-Trees without the original
+// KISS-Tree's bitmask compression, whose RCU copy on every slot addition
+// is the update overhead dense key ranges cannot afford (§2.2). Each
+// populated root bucket therefore costs one whole node: 512 B for an
+// isolated key at the paper's 26/6 split.
 //
 // Entries hold either a single inline value (low bit tagged) or a pointer
 // to a §2.4 duplicate ValueList. Inline values must fit in 63 bits (true
@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -48,7 +47,7 @@ namespace qppt {
 // MAP_NORESERVE mappings, so allocations come back zero-filled and physical
 // pages materialize only when a slot is first written — the same on-demand
 // allocation trick the paper uses for the root array. This is what keeps
-// wide uncompressed level-2 nodes (small root_bits) cheap on sparse keys.
+// wide level-2 nodes (small root_bits) cheap on sparse keys.
 //
 // The chunk directory is itself a fixed MAP_NORESERVE mapping (256 KiB
 // virtual for the maximal 32 Ki chunks, created on first Allocate so
@@ -69,8 +68,8 @@ class CompactSlab {
   CompactSlab& operator=(CompactSlab&&) = delete;
 
   // Allocates `bytes` (rounded up to 8) of zero-filled memory and returns
-  // a non-zero handle. Handles are never freed (the tree's RCU garbage
-  // stays in the slab), so every allocation is virgin zero pages.
+  // a non-zero handle. Handles are never freed, so every allocation is
+  // virgin zero pages.
   uint32_t Allocate(size_t bytes);
 
   void* Resolve(uint32_t handle) {
@@ -129,11 +128,13 @@ class KissTree {
     __atomic_store_n(p, v, __ATOMIC_RELEASE);
   }
 
+  // Level-1 fragment widths the tree supports. Level-2 nodes then hold
+  // between 64 entries (the paper's 26/6 split) and 64 Ki (tiny trees).
+  static constexpr size_t kMinRootBits = 16;
+  static constexpr size_t kMaxRootBits = 26;
+
   struct Config {
     size_t root_bits = 26;  // level-1 fragment width (paper: 26)
-    // Bitmask-compress level-2 nodes (RCU copy on slot addition). QPPT
-    // disables this for dense value ranges (§2.2).
-    bool compress = false;
   };
 
   KissTree() : KissTree(Config{}) {}
@@ -226,10 +227,6 @@ class KissTree {
 
   // Returns true and fills `*out` if `key` is present.
   bool Lookup(uint32_t key, ValueRef* out) const;
-  bool Contains(uint32_t key) const {
-    ValueRef ignored;
-    return Lookup(key, &ignored);
-  }
 
   // --- scans ----------------------------------------------------------------
 
@@ -263,9 +260,6 @@ class KissTree {
   // Batched insert-or-update with the same prefetch pipeline.
   void BatchUpsert(std::span<UpsertJob> jobs);
 
-  // Batched duplicate-append.
-  void BatchInsert(std::span<UpsertJob> jobs);
-
   // --- structural access for the synchronous index scan (§4.2) ---------------
 
   size_t root_size() const { return root_size_; }
@@ -282,15 +276,7 @@ class KissTree {
   // Entry at `slot` of the level-2 node behind `handle` (0 = empty).
   uint64_t Level2Entry(uint32_t handle, uint32_t slot) const {
     if (handle == CompactSlab::kNullHandle) return 0;
-    if (!config_.compress) {
-      return LoadEntry(UncompressedEntries(handle) + slot);
-    }
-    const uint64_t* node = UncompressedEntries(handle);
-    uint64_t mask = LoadEntry(node);
-    uint64_t slot_bit = uint64_t{1} << slot;
-    if (!(mask & slot_bit)) return 0;
-    return LoadEntry(
-        node + 1 + static_cast<size_t>(std::popcount(mask & (slot_bit - 1))));
+    return LoadEntry(Entries(handle) + slot);
   }
 
   // Decodes a level-2 entry into a ValueRef.
@@ -300,20 +286,17 @@ class KissTree {
   }
 
  private:
-  // Level-2 node layouts. Uncompressed: uint64 entries[l2_fanout].
-  // Compressed: uint64 bitmask; uint64 entries[popcount(bitmask)].
-  uint64_t* UncompressedEntries(uint32_t handle) {
+  // The level-2 node behind `handle`: uint64 entries[l2_fanout].
+  uint64_t* Entries(uint32_t handle) {
     return static_cast<uint64_t*>(slab_.Resolve(handle));
   }
-  const uint64_t* UncompressedEntries(uint32_t handle) const {
+  const uint64_t* Entries(uint32_t handle) const {
     return static_cast<const uint64_t*>(slab_.Resolve(handle));
   }
 
   // Returns a pointer to the entry slot for `key`, creating the level-2
-  // node (and growing compressed nodes via RCU copy) as needed.
+  // node as needed.
   uint64_t* FindOrCreateEntrySlot(uint32_t key);
-  // Returns the entry for `key`, or 0.
-  uint64_t FindEntry(uint32_t key) const;
 
   void AppendToEntry(uint64_t* entry, uint64_t value);
   // Key stats are advisory scan bounds; single writer, relaxed readers.
@@ -355,24 +338,11 @@ class KissTree {
 template <typename F>
 void KissTree::ForEachLevel2Slot(uint32_t handle, F&& fn) const {
   if (handle == CompactSlab::kNullHandle) return;
-  if (!config_.compress) {
-    const uint64_t* entries = UncompressedEntries(handle);
-    for (size_t slot = 0; slot < l2_fanout_; ++slot) {
-      uint64_t entry = LoadEntry(entries + slot);
-      if (entry != 0) {
-        fn(static_cast<uint32_t>(slot), entry);
-      }
-    }
-  } else {
-    const uint64_t* node = UncompressedEntries(handle);
-    uint64_t mask = LoadEntry(node);
-    const uint64_t* packed = node + 1;
-    size_t rank = 0;
-    while (mask != 0) {
-      uint32_t slot = static_cast<uint32_t>(std::countr_zero(mask));
-      fn(slot, LoadEntry(packed + rank));
-      ++rank;
-      mask &= mask - 1;
+  const uint64_t* entries = Entries(handle);
+  for (size_t slot = 0; slot < l2_fanout_; ++slot) {
+    uint64_t entry = LoadEntry(entries + slot);
+    if (entry != 0) {
+      fn(static_cast<uint32_t>(slot), entry);
     }
   }
 }

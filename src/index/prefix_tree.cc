@@ -17,27 +17,8 @@ PrefixTree::PrefixTree(Config config)
                         : config.agg_payload_size),
       node_arena_(/*block_size=*/256 * 1024) {
   assert(config.key_len >= 1 && config.key_len <= KeyBuf::kCapacity);
-  assert(config.kprime >= 1 && config.kprime <= 16);
+  assert(config.kprime >= 1 && config.kprime <= kMaxKprime);
   root_ = NewNode();
-}
-
-PrefixTree::PrefixTree(PrefixTree&& other) noexcept
-    : config_(other.config_),
-      key_bits_(other.key_bits_),
-      fanout_(other.fanout_),
-      payload_offset_(other.payload_offset_),
-      payload_size_(other.payload_size_),
-      node_arena_(std::move(other.node_arena_)),
-      dup_arena_(std::move(other.dup_arena_)),
-      root_(other.root_),
-      // relaxed: move construction has exclusive access to both objects.
-      num_keys_(other.num_keys_.load(std::memory_order_relaxed)),
-      num_inner_nodes_(
-          other.num_inner_nodes_.load(std::memory_order_relaxed)) {
-  other.root_ = nullptr;
-  // relaxed: move construction has exclusive access to both objects.
-  other.num_keys_.store(0, std::memory_order_relaxed);
-  other.num_inner_nodes_.store(0, std::memory_order_relaxed);
 }
 
 PrefixTree::Node* PrefixTree::NewNode() {
@@ -133,11 +114,6 @@ void PrefixTree::Upsert(const uint8_t* key, uint64_t value) {
   MutableValuesOf(c)->ReplaceWith(value);
 }
 
-std::byte* PrefixTree::FindOrCreatePayload(const uint8_t* key,
-                                           bool* created) {
-  return MutablePayloadOf(FindOrCreateGroup(key, created));
-}
-
 PrefixTree::ContentNode* PrefixTree::FindOrCreateGroup(const uint8_t* key,
                                                        bool* created) {
   assert(config_.mode == PayloadMode::kAggregate);
@@ -166,11 +142,6 @@ const PrefixTree::ContentNode* PrefixTree::Find(const uint8_t* key) const {
 const ValueList* PrefixTree::Lookup(const uint8_t* key) const {
   const ContentNode* c = Find(key);
   return c == nullptr ? nullptr : ValuesOf(c);
-}
-
-const std::byte* PrefixTree::FindPayload(const uint8_t* key) const {
-  const ContentNode* c = Find(key);
-  return c == nullptr ? nullptr : PayloadOf(c);
 }
 
 void PrefixTree::BatchLookup(std::span<LookupJob> jobs) const {
@@ -216,18 +187,6 @@ void PrefixTree::BatchLookup(std::span<LookupJob> jobs) const {
       PrefetchRead(&job.node->slots[next_frag]);
       done = false;
     }
-  }
-}
-
-void PrefixTree::BatchInsert(std::span<InsertJob> jobs) {
-  // Inserts mutate the tree shape, so jobs are applied sequentially; the
-  // batching win is the prefetch of each job's root-level slot ahead of
-  // time plus the amortized call overhead (§2.3).
-  for (const auto& job : jobs) {
-    PrefetchRead(&root_->slots[Frag(job.key, 0)]);
-  }
-  for (const auto& job : jobs) {
-    Insert(job.key, job.value);
   }
 }
 

@@ -49,9 +49,11 @@ class PrefixTree {
  public:
   enum class PayloadMode : uint8_t { kValues, kAggregate };
 
+  static constexpr size_t kMaxKprime = 16;
+
   struct Config {
     size_t key_len = 4;     // key width in bytes (1..KeyBuf::kCapacity)
-    size_t kprime = 4;      // fragment width in bits (1..16)
+    size_t kprime = 4;      // fragment width in bits (1..kMaxKprime)
     PayloadMode mode = PayloadMode::kValues;
     size_t agg_payload_size = 0;  // bytes, for kAggregate
   };
@@ -99,7 +101,7 @@ class PrefixTree {
 
   PrefixTree(const PrefixTree&) = delete;
   PrefixTree& operator=(const PrefixTree&) = delete;
-  PrefixTree(PrefixTree&& other) noexcept;
+  PrefixTree(PrefixTree&&) = delete;
   PrefixTree& operator=(PrefixTree&&) = delete;
 
   const Config& config() const { return config_; }
@@ -134,20 +136,15 @@ class PrefixTree {
 
   // --- kAggregate mode ----------------------------------------------------
 
-  // Returns the payload accumulator for `key`, creating a zero-filled one
-  // if the key is new (*created reports which). The caller folds its
-  // aggregate update into the returned bytes — grouping happens here, as a
-  // side effect of output indexing (§3).
-  std::byte* FindOrCreatePayload(const uint8_t* key, bool* created);
-
-  // FindOrCreatePayload's content node. A content node never moves once
-  // created — dynamic expansion relinks the same node one level down —
-  // so the pointer, and the key and payload in the node, stay valid for
-  // the tree's lifetime (IndexedTable's group directory keeps them).
+  // Returns the content node of group `key`, creating one with a
+  // zero-filled payload if the key is new (*created reports which). The
+  // caller folds its aggregate update into MutablePayloadOf(node) —
+  // grouping happens here, as a side effect of output indexing (§3). A
+  // content node never moves once created — dynamic expansion relinks the
+  // same node one level down — so the pointer, and the key and payload in
+  // the node, stay valid for the tree's lifetime (IndexedTable's group
+  // directory keeps them).
   ContentNode* FindOrCreateGroup(const uint8_t* key, bool* created);
-
-  // Returns the payload for `key`, or nullptr if absent.
-  const std::byte* FindPayload(const uint8_t* key) const;
 
   // --- generic ------------------------------------------------------------
 
@@ -176,13 +173,12 @@ class PrefixTree {
   // ascending encoded order (the tree is order-preserving).
   template <typename F>
   void ScanAll(F&& fn) const {
-    if (root_ != nullptr) ScanRec(root_, 0, fn);
+    ScanRec(root_, 0, fn);
   }
 
   // In-order traversal of keys in [lo, hi] (inclusive, encoded order).
   template <typename F>
   void ScanRange(const uint8_t* lo, const uint8_t* hi, F&& fn) const {
-    if (root_ == nullptr) return;
     if (CompareKeys(lo, hi, config_.key_len) > 0) return;
     ScanRangeRec(root_, 0, lo, hi, true, true, fn);
   }
@@ -202,14 +198,6 @@ class PrefixTree {
   // advance one tree level per round; each child is prefetched one round
   // before it is dereferenced, hiding main-memory latency.
   void BatchLookup(std::span<LookupJob> jobs) const;
-
-  // Batched insert (kValues): amortizes call overhead and prefetches the
-  // target nodes before mutating them.
-  struct InsertJob {
-    const uint8_t* key = nullptr;
-    uint64_t value = 0;
-  };
-  void BatchInsert(std::span<InsertJob> jobs);
 
  private:
   Node* NewNode();

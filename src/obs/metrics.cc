@@ -190,48 +190,6 @@ void AppendU64(std::string* out, uint64_t v) {
 
 }  // namespace
 
-std::string MetricsSnapshot::ToJson() const {
-  // Metric names are controlled identifiers ([a-z0-9_:]), so no JSON
-  // string escaping is needed (same convention as bench_common.h).
-  std::string out = "{\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    const MetricValue& m = metrics[i];
-    out += "  \"" + m.name + "\": ";
-    switch (m.type) {
-      case MetricType::kCounter:
-        AppendU64(&out, m.counter);
-        break;
-      case MetricType::kGauge:
-        out += std::to_string(m.gauge);
-        break;
-      case MetricType::kHistogram: {
-        out += "{\"count\": ";
-        AppendU64(&out, m.count);
-        out += ", \"sum\": ";
-        AppendDouble(&out, m.sum);
-        out += ", \"buckets\": [";
-        for (size_t b = 0; b < m.bucket_counts.size(); ++b) {
-          if (b > 0) out += ", ";
-          out += "{\"le\": ";
-          if (b < m.bounds.size()) {
-            AppendDouble(&out, m.bounds[b]);
-          } else {
-            out += "\"+Inf\"";
-          }
-          out += ", \"n\": ";
-          AppendU64(&out, m.bucket_counts[b]);
-          out += "}";
-        }
-        out += "]}";
-        break;
-      }
-    }
-    out += i + 1 < metrics.size() ? ",\n" : "\n";
-  }
-  out += "}\n";
-  return out;
-}
-
 std::string MetricsSnapshot::ToPrometheusText() const {
   std::string out;
   for (const MetricValue& m : metrics) {

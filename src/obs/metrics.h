@@ -1,5 +1,5 @@
 // Engine-wide metrics: a lock-cheap registry of counters, gauges, and
-// fixed-bucket latency histograms (ISSUE 7 tentpole).
+// fixed-bucket latency histograms.
 //
 // Design goals, in order:
 //   1. Hot-path writes must be cheap enough to leave enabled always-on
@@ -7,10 +7,10 @@
 //      allocation, no false sharing between workers).
 //   2. Reads (Snapshot) fold the shards and may be arbitrarily slow; they
 //      run on monitoring cadence, not on query paths.
-//   3. The exposition formats (JSON, Prometheus text) are stable: the
-//      upcoming socket server's /metrics endpoint serves
-//      ToPrometheusText() verbatim, and QPPT_METRICS_DUMP writes the same
-//      text at process exit so any run can be inspected post-hoc.
+//   3. The one exposition format, Prometheus text, is stable: a /metrics
+//      endpoint would serve ToPrometheusText() verbatim, and
+//      QPPT_METRICS_DUMP writes the same text at process exit so any run
+//      can be inspected post-hoc.
 //
 // Sharding: every counter/histogram carries kShards cache-line-padded
 // atomic cells. Writers pick a shard — engine code passes the morsel
@@ -159,8 +159,6 @@ struct MetricsSnapshot {
   // Convenience: counter value by name (0 when absent).
   uint64_t CounterValue(std::string_view name) const;
 
-  // {"name": {...}, ...} — one object per metric.
-  std::string ToJson() const;
   // Prometheus text exposition format v0.0.4 (# HELP/# TYPE + samples;
   // histograms expand to _bucket{le=...}/_sum/_count).
   std::string ToPrometheusText() const;

@@ -32,10 +32,11 @@ struct SsbConfig {
   uint64_t seed = 42;
   size_t kiss_root_bits = 26;  // lower this for tiny test instances
   size_t kprime = 4;
-  // Build the base-index pool with generalized prefix trees instead of
-  // KISS-Trees where both are eligible — exercises the prefix-tree and
-  // mixed-family star-join paths on the full SSB flight (pair it with
-  // PlanKnobs::table_options.prefer_kiss = false for all-prefix plans).
+  // false builds the base-index pool with generalized prefix trees
+  // instead of KISS-Trees where both are eligible. Intermediates stay
+  // KISS-Trees under PlanKnobs' defaults, so every star join of a base
+  // index with an intermediate then takes the mixed-family path; also set
+  // PlanKnobs::table_options.prefer_kiss = false for all-prefix plans.
   bool prefer_kiss = true;
   // Skip base-index construction (for baseline-only experiments).
   bool build_indexes = true;

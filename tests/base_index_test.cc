@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <utility>
 
 #include "core/base_index.h"
 #include "util/rng.h"
@@ -416,6 +417,28 @@ TEST(BaseIndexTest, RejectsMoreKeyColumnsThanAKeyHolds) {
   EXPECT_TRUE(five.status().IsInvalidArgument()) << five.status();
   EXPECT_TRUE(
       BaseIndex::Build(table.get(), {"ik", "wide", "dk", "a"}, {}).ok());
+}
+
+// Tree shapes outside the trees' ranges hang or crash once asserts are
+// compiled out, so every build rejects them.
+TEST(BaseIndexTest, RejectsOutOfRangeTreeOptions) {
+  auto table = MakePartTable(100);
+  const std::pair<size_t, size_t> bad[] = {{0, 26}, {17, 26}, {4, 15}, {4, 27}};
+  for (auto [kprime, root_bits] : bad) {
+    BaseIndex::Options opt;
+    opt.kprime = kprime;
+    opt.kiss_root_bits = root_bits;
+    for (bool prefer_kiss : {true, false}) {
+      opt.prefer_kiss = prefer_kiss;
+      auto index = BaseIndex::Build(table.get(), {"partkey"}, {}, opt);
+      EXPECT_TRUE(index.status().IsInvalidArgument())
+          << kprime << "/" << root_bits << ": " << index.status();
+    }
+  }
+  BaseIndex::Options edge;
+  edge.kprime = 16;
+  edge.kiss_root_bits = 16;
+  EXPECT_TRUE(BaseIndex::Build(table.get(), {"partkey"}, {}, edge).ok());
 }
 
 // ---- Database -----------------------------------------------------------------

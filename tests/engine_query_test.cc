@@ -202,6 +202,24 @@ TEST_F(EngineQueryTest, ExpiredDeadlineReturnsPromptlyAndRunnerStaysHealthy) {
   }
 }
 
+// An out-of-range tree option is an error, not a hang: with kprime 0 an
+// aggregate output's prefix tree never advances past its first fragment
+// in a build without asserts.
+TEST_F(EngineQueryTest, OutOfRangeTableOptionsFailCleanly) {
+  engine::EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
+  engine::EngineRunner runner(cfg);
+  PlanKnobs knobs;
+  knobs.table_options.kprime = 0;
+  auto result = RunQppt(runner, *data_, "2.1", knobs);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  EXPECT_EQ(runner.queries_running(), 0u);
+  auto healthy = RunQppt(runner, *data_, "2.1", PlanKnobs{});
+  EXPECT_TRUE(healthy.ok()) << healthy.status();
+}
+
 // A token cancelled before submission: the query never runs, and a
 // token cancelled from another thread stops a query mid-flight.
 TEST_F(EngineQueryTest, CancelTokenStopsQueries) {

@@ -70,6 +70,31 @@ TEST(IndexedTableTest, RejectsMoreKeyColumnsThanAKeyHolds) {
   EXPECT_EQ((*four)->num_keys(), 1u);
 }
 
+// Tree shapes outside the trees' ranges hang (kprime 0: a zero-width
+// fragment never advances the walk) or crash (level-2 nodes wider than a
+// slab chunk) once asserts are compiled out, so Create rejects them.
+TEST(IndexedTableTest, RejectsOutOfRangeTreeOptions) {
+  const std::pair<size_t, size_t> bad[] = {{0, 26}, {17, 26}, {4, 15}, {4, 27}};
+  for (auto [kprime, root_bits] : bad) {
+    IndexedTable::Options opt;
+    opt.kprime = kprime;
+    opt.kiss_root_bits = root_bits;
+    for (bool prefer_kiss : {true, false}) {
+      opt.prefer_kiss = prefer_kiss;
+      auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, opt);
+      EXPECT_TRUE(table.status().IsInvalidArgument())
+          << kprime << "/" << root_bits << ": " << table.status();
+    }
+  }
+  const std::pair<size_t, size_t> edges[] = {{1, 16}, {16, 26}};
+  for (auto [kprime, root_bits] : edges) {
+    IndexedTable::Options opt;
+    opt.kprime = kprime;
+    opt.kiss_root_bits = root_bits;
+    EXPECT_TRUE(IndexedTable::Create(TupleSchema(), {"orderdate"}, opt).ok());
+  }
+}
+
 TEST(IndexedTableTest, InsertAndScanInKeyOrder) {
   auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, SmallKiss());
   ASSERT_TRUE(table.ok());
@@ -107,16 +132,6 @@ TEST(IndexedTableTest, CompositeKeyScanOrder) {
     EXPECT_LE(prev, cur);
     prev = cur;
   });
-}
-
-TEST(IndexedTableTest, InsertIfAbsentDeduplicates) {
-  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, SmallKiss());
-  ASSERT_TRUE(table.ok());
-  uint64_t row[3] = {SlotFromInt64(7), SlotFromInt64(1), SlotFromInt64(2)};
-  EXPECT_TRUE((*table)->InsertIfAbsent(row));
-  row[1] = SlotFromInt64(99);
-  EXPECT_FALSE((*table)->InsertIfAbsent(row));
-  EXPECT_EQ((*table)->num_tuples(), 1u);
 }
 
 TEST(IndexedTableTest, AggregationGroupsAndSorts) {
@@ -330,8 +345,9 @@ TEST(GroupDirectoryTest, DoubleKeysGroupAsTheTreeDoes) {
     KeyBuf key;
     (*table)->EncodeKey(&slot, &key);
     bool created = false;
-    std::byte* count = tree.FindOrCreatePayload(key.data(), &created);
-    ++*reinterpret_cast<uint64_t*>(count);
+    PrefixTree::ContentNode* group =
+        tree.FindOrCreateGroup(key.data(), &created);
+    ++*reinterpret_cast<uint64_t*>(tree.MutablePayloadOf(group));
   }
   ASSERT_EQ(tree.num_keys(), values.size());
   EXPECT_EQ((*table)->num_keys(), tree.num_keys());

@@ -47,18 +47,11 @@ TEST(CompactSlabTest, SpansMultipleChunks) {
   EXPECT_EQ(*static_cast<uint64_t*>(slab.Resolve(handles.front())), 1u);
 }
 
-// ---- KissTree: parameterized over compression and root width --------------------
+// ---- KissTree: parameterized over root width -----------------------------------
 
-struct KissParam {
-  size_t root_bits;
-  bool compress;
-};
-
-class KissTreeProperty : public ::testing::TestWithParam<KissParam> {
+class KissTreeProperty : public ::testing::TestWithParam<size_t> {
  protected:
-  KissTree::Config ValuesConfig() const {
-    return {.root_bits = GetParam().root_bits, .compress = GetParam().compress};
-  }
+  KissTree::Config ValuesConfig() const { return {.root_bits = GetParam()}; }
 };
 
 TEST_P(KissTreeProperty, RandomUpsertLookupRoundTrip) {
@@ -81,7 +74,8 @@ TEST_P(KissTreeProperty, RandomUpsertLookupRoundTrip) {
   for (int i = 0; i < 2000; ++i) {
     uint32_t key = rng.Next32();
     if (reference.count(key)) continue;
-    EXPECT_FALSE(tree.Contains(key));
+    KissTree::ValueRef ref;
+    EXPECT_FALSE(tree.Lookup(key, &ref));
   }
 }
 
@@ -201,17 +195,14 @@ TEST_P(KissTreeProperty, MinMaxTracked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, KissTreeProperty,
-    ::testing::Values(KissParam{26, false}, KissParam{26, true},
-                      KissParam{20, false}, KissParam{16, false}),
-    [](const ::testing::TestParamInfo<KissParam>& info) {
-      return "root" + std::to_string(info.param.root_bits) +
-             (info.param.compress ? "_compressed" : "_uncompressed");
+    Shapes, KissTreeProperty, ::testing::Values(26, 20, 16),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return "root" + std::to_string(info.param);
     });
 
-TEST(KissTreeTest, DenseSequentialKeysUncompressed) {
-  // The dense case QPPT optimizes for by disabling compression (§2.2).
-  KissTree tree({.root_bits = 20, .compress = false});
+TEST(KissTreeTest, DenseSequentialKeys) {
+  // The dense case the flat level-2 nodes are built for (§2.2).
+  KissTree tree({.root_bits = 20});
   constexpr uint32_t kN = 100000;
   for (uint32_t i = 0; i < kN; ++i) tree.Upsert(i, i);
   EXPECT_EQ(tree.num_keys(), kN);
@@ -224,22 +215,8 @@ TEST(KissTreeTest, DenseSequentialKeysUncompressed) {
   EXPECT_EQ(expected, kN);
 }
 
-TEST(KissTreeTest, CompressedUsesLessMemoryOnSparseKeys) {
-  KissTree sparse_compressed({.root_bits = 26, .compress = true});
-  KissTree sparse_flat({.root_bits = 26, .compress = false});
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    uint32_t key = rng.Next32();
-    sparse_compressed.Upsert(key, 1);
-    sparse_flat.Upsert(key, 1);
-  }
-  // One key per level-2 node on average: compression should win clearly
-  // on slab bytes even counting RCU garbage.
-  EXPECT_LT(sparse_compressed.MemoryUsage(), sparse_flat.MemoryUsage());
-}
-
 TEST(KissTreeTest, MoveTransfersOwnership) {
-  KissTree a({.root_bits = 20, .compress = false});
+  KissTree a({.root_bits = 20});
   a.Insert(1, 10);
   KissTree b(std::move(a));
   KissTree::ValueRef ref;

@@ -16,7 +16,6 @@
 
 #include "core/operators/select_join.h"
 #include "core/operators/selection.h"
-#include "core/operators/set_ops.h"
 #include "core/operators/star_join.h"
 #include "core/plan.h"
 #include "engine/scheduler.h"
@@ -400,78 +399,6 @@ TEST_F(OperatorsTest, SelectJoinEquivalentToSelectionPlusJoin) {
       EXPECT_EQ(got->rows[i][1], expected->rows[i][1]);
     }
   }
-}
-
-TEST_F(OperatorsTest, IntersectMatchesConjunction) {
-  // Two rid-keyed selections on part, intersected (§4.1).
-  ExecContext ctx(&db_, Knobs());
-  Plan plan;
-
-  SelectionSpec s1;
-  s1.input_index = "part_brand";
-  s1.predicate = KeyPredicate::Range(0, 12);
-  s1.carry_columns = {"@rid", "partkey"};
-  s1.output = {"s1", {"@rid"}, {}};
-  plan.Emplace<SelectionOp>(s1);
-
-  SelectionSpec s2;
-  s2.input_index = "part_pk";
-  s2.predicate = KeyPredicate::Range(50, 250);
-  s2.carry_columns = {"@rid"};
-  s2.output = {"s2", {"@rid"}, {}};
-  plan.Emplace<SelectionOp>(s2);
-
-  SetOpSpec inter;
-  inter.left = SideRef::Slot("s1");
-  inter.left_columns = {"partkey"};
-  inter.right = SideRef::Slot("s2");
-  inter.right_columns = {};
-  inter.output = {"both", {"partkey"}, {}};
-  plan.Emplace<IntersectOp>(inter);
-
-  ASSERT_TRUE(plan.Run(&ctx).ok());
-  size_t expected = 0;
-  for (Rid r = 0; r < static_cast<Rid>(kNumParts); ++r) {
-    int64_t brand = Int64FromSlot(Table("part").GetSlot(r, 1));
-    int64_t pk = Int64FromSlot(Table("part").GetSlot(r, 0));
-    if (brand <= 12 && pk >= 50 && pk <= 250) ++expected;
-  }
-  EXPECT_EQ((*ctx.Get("both"))->num_tuples(), expected);
-}
-
-TEST_F(OperatorsTest, UnionDistinctMatchesDisjunction) {
-  ExecContext ctx(&db_, Knobs());
-  Plan plan;
-
-  SelectionSpec s1;
-  s1.input_index = "part_brand";
-  s1.predicate = KeyPredicate::Point(3);
-  s1.carry_columns = {"@rid", "partkey"};
-  s1.output = {"s1", {"@rid"}, {}};
-  plan.Emplace<SelectionOp>(s1);
-
-  SelectionSpec s2;
-  s2.input_index = "part_brand";
-  s2.predicate = KeyPredicate::Point(4);
-  s2.carry_columns = {"@rid", "partkey"};
-  s2.output = {"s2", {"@rid"}, {}};
-  plan.Emplace<SelectionOp>(s2);
-
-  SetOpSpec uni;
-  uni.left = SideRef::Slot("s1");
-  uni.left_columns = {"@rid", "partkey"};
-  uni.right = SideRef::Slot("s2");
-  uni.right_columns = {"@rid", "partkey"};
-  uni.output = {"either", {"@rid"}, {}};
-  plan.Emplace<UnionDistinctOp>(uni);
-
-  ASSERT_TRUE(plan.Run(&ctx).ok());
-  size_t expected = 0;
-  for (Rid r = 0; r < static_cast<Rid>(kNumParts); ++r) {
-    int64_t brand = Int64FromSlot(Table("part").GetSlot(r, 1));
-    if (brand == 3 || brand == 4) ++expected;
-  }
-  EXPECT_EQ((*ctx.Get("either"))->num_tuples(), expected);
 }
 
 TEST_F(OperatorsTest, MultidimensionalSelection) {

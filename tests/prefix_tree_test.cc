@@ -76,21 +76,21 @@ TEST(PrefixTreeTest, AggregateModeFindOrCreate) {
                    .mode = PrefixTree::PayloadMode::kAggregate,
                    .agg_payload_size = 16});
   bool created = false;
-  std::byte* p = tree.FindOrCreatePayload(U32Key(3).data(), &created);
+  PrefixTree::ContentNode* g =
+      tree.FindOrCreateGroup(U32Key(3).data(), &created);
   EXPECT_TRUE(created);
   // Payload starts zeroed; fold in a sum and a count.
-  auto* sums = reinterpret_cast<int64_t*>(p);
+  auto* sums = reinterpret_cast<int64_t*>(tree.MutablePayloadOf(g));
   EXPECT_EQ(sums[0], 0);
   sums[0] += 100;
   sums[1] += 1;
-  std::byte* q = tree.FindOrCreatePayload(U32Key(3).data(), &created);
+  EXPECT_EQ(tree.FindOrCreateGroup(U32Key(3).data(), &created), g);
   EXPECT_FALSE(created);
-  EXPECT_EQ(q, p);
-  reinterpret_cast<int64_t*>(q)[0] += 50;
-  const std::byte* r = tree.FindPayload(U32Key(3).data());
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(reinterpret_cast<const int64_t*>(r)[0], 150);
-  EXPECT_EQ(tree.FindPayload(U32Key(4).data()), nullptr);
+  reinterpret_cast<int64_t*>(tree.MutablePayloadOf(g))[0] += 50;
+  const PrefixTree::ContentNode* r = tree.Find(U32Key(3).data());
+  ASSERT_EQ(r, g);
+  EXPECT_EQ(reinterpret_cast<const int64_t*>(tree.PayloadOf(r))[0], 150);
+  EXPECT_EQ(tree.Find(U32Key(4).data()), nullptr);
 }
 
 // ---- property tests over k' and key width ------------------------------------
@@ -243,32 +243,6 @@ TEST(PrefixTreeTest, DenseSequentialKeys) {
     EXPECT_EQ(DecodeU32(c.key()), expected++);
   });
   EXPECT_EQ(expected, kN);
-}
-
-TEST(PrefixTreeTest, BatchInsertMatchesSequentialInsert) {
-  PrefixTree a({.key_len = 4, .kprime = 4});
-  PrefixTree b({.key_len = 4, .kprime = 4});
-  Rng rng(7);
-  std::vector<KeyBuf> keys;
-  std::vector<uint64_t> values;
-  for (int i = 0; i < 2000; ++i) {
-    keys.push_back(U32Key(rng.Next32() % 500));  // heavy duplicates
-    values.push_back(rng.Next() >> 1);
-  }
-  for (size_t i = 0; i < keys.size(); ++i) a.Insert(keys[i].data(), values[i]);
-  std::vector<PrefixTree::InsertJob> jobs(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    jobs[i].key = keys[i].data();
-    jobs[i].value = values[i];
-  }
-  b.BatchInsert(jobs);
-  EXPECT_EQ(a.num_keys(), b.num_keys());
-  a.ScanAll([&](const PrefixTree::ContentNode& c) {
-    const ValueList* va = a.ValuesOf(&c);
-    const ValueList* vb = b.Lookup(c.key());
-    ASSERT_NE(vb, nullptr);
-    EXPECT_EQ(va->size(), vb->size());
-  });
 }
 
 TEST(PrefixTreeTest, MemoryGrowsWithKprimeOnSparseKeys) {

