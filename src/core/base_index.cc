@@ -63,7 +63,7 @@ void RadixSortRecords(std::vector<uint64_t>* recs, size_t words,
 
 Result<std::unique_ptr<BaseIndex>> BaseIndex::Build(
     const RowTable* table, std::vector<std::string> key_columns,
-    std::vector<std::string> included_columns, Options options) {
+    std::vector<std::string> included_columns, TreeOptions options) {
   auto index = std::unique_ptr<BaseIndex>(new BaseIndex());
   QPPT_RETURN_NOT_OK(index->Init(table, /*rids=*/nullptr, table->num_rows(),
                                  std::move(key_columns),
@@ -74,7 +74,7 @@ Result<std::unique_ptr<BaseIndex>> BaseIndex::Build(
 Result<std::unique_ptr<BaseIndex>> BaseIndex::BuildFromSnapshot(
     const MvccTable* table, Timestamp read_ts,
     std::vector<std::string> key_columns,
-    std::vector<std::string> included_columns, Options options) {
+    std::vector<std::string> included_columns, TreeOptions options) {
   std::vector<Rid> rids = table->SnapshotRids(read_ts);
   auto index = std::unique_ptr<BaseIndex>(new BaseIndex());
   QPPT_RETURN_NOT_OK(index->Init(&table->storage(), rids.data(), rids.size(),
@@ -85,7 +85,7 @@ Result<std::unique_ptr<BaseIndex>> BaseIndex::BuildFromSnapshot(
 
 Result<std::unique_ptr<BaseIndex>> BaseIndex::BuildLive(
     const MvccTable* table, std::vector<std::string> key_columns,
-    Options options) {
+    TreeOptions options) {
   // Index every version row present, visible or not: scans filter through
   // RidVisibleAt, and rows from aborted transactions simply never become
   // visible. This keeps the build independent of in-flight transactions.
@@ -130,14 +130,14 @@ void BaseIndex::InsertKey(const uint8_t* key, uint64_t value) {
 Status BaseIndex::Init(const RowTable* table, const Rid* rids, size_t n,
                        std::vector<std::string> key_columns,
                        std::vector<std::string> included_columns,
-                       Options options) {
+                       TreeOptions options) {
   table_ = table;
   key_names_ = std::move(key_columns);
   included_names_ = std::move(included_columns);
   if (key_names_.empty()) {
     return Status::InvalidArgument("base index needs at least one key column");
   }
-  QPPT_RETURN_NOT_OK(CheckTreeShape(options.kprime, options.kiss_root_bits));
+  QPPT_RETURN_NOT_OK(CheckTreeShape(options));
   if (key_names_.size() > KeyBuf::kCapacity / 8) {
     return Status::InvalidArgument(
         "base index takes at most " + std::to_string(KeyBuf::kCapacity / 8) +
@@ -355,7 +355,7 @@ Result<const MvccTable*> Database::versioned_table(
 Status Database::BuildLiveIndex(const std::string& index_name,
                                 const std::string& table_name,
                                 std::vector<std::string> key_columns,
-                                BaseIndex::Options options) {
+                                TreeOptions options) {
   if (indexes_.count(index_name) > 0) {
     return Status::AlreadyExists("index '" + index_name + "' already exists");
   }
@@ -379,7 +379,7 @@ Status Database::BuildIndex(const std::string& index_name,
                             const std::string& table_name,
                             std::vector<std::string> key_columns,
                             std::vector<std::string> included_columns,
-                            BaseIndex::Options options) {
+                            TreeOptions options) {
   if (indexes_.count(index_name) > 0) {
     return Status::AlreadyExists("index '" + index_name + "' already exists");
   }

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/indexed_table.h"
 #include "index/key_encoder.h"
 #include "index/kiss_tree.h"
 #include "index/prefix_tree.h"
@@ -71,38 +72,30 @@ class BaseIndex {
  public:
   enum class Kind : uint8_t { kKiss, kPrefix };
 
-  // Every build checks kprime and kiss_root_bits with CheckTreeShape
-  // (core/indexed_table.h).
-  struct Options {
-    size_t kprime = 4;
-    bool prefer_kiss = true;
-    size_t kiss_root_bits = 26;
-  };
-
   // Builds an index over all rows of `table`, keyed on `key_columns` (at
   // most KeyBuf::kCapacity / 8 of them). Non-empty `included_columns`
   // makes it partially clustered.
   static Result<std::unique_ptr<BaseIndex>> Build(
       const RowTable* table, std::vector<std::string> key_columns,
-      std::vector<std::string> included_columns, Options options);
+      std::vector<std::string> included_columns, TreeOptions options);
   static Result<std::unique_ptr<BaseIndex>> Build(
       const RowTable* table, std::vector<std::string> key_columns,
       std::vector<std::string> included_columns = {}) {
     return Build(table, std::move(key_columns), std::move(included_columns),
-                 Options{});
+                 TreeOptions{});
   }
 
   // Builds over the rows visible at an MVCC snapshot.
   static Result<std::unique_ptr<BaseIndex>> BuildFromSnapshot(
       const MvccTable* table, Timestamp read_ts,
       std::vector<std::string> key_columns,
-      std::vector<std::string> included_columns, Options options);
+      std::vector<std::string> included_columns, TreeOptions options);
   static Result<std::unique_ptr<BaseIndex>> BuildFromSnapshot(
       const MvccTable* table, Timestamp read_ts,
       std::vector<std::string> key_columns,
       std::vector<std::string> included_columns = {}) {
     return BuildFromSnapshot(table, read_ts, std::move(key_columns),
-                             std::move(included_columns), Options{});
+                             std::move(included_columns), TreeOptions{});
   }
 
   // Builds a *live* index over an MVCC table: every version row currently
@@ -118,10 +111,10 @@ class BaseIndex {
   // core/operators/common.h).
   static Result<std::unique_ptr<BaseIndex>> BuildLive(
       const MvccTable* table, std::vector<std::string> key_columns,
-      Options options);
+      TreeOptions options);
   static Result<std::unique_ptr<BaseIndex>> BuildLive(
       const MvccTable* table, std::vector<std::string> key_columns) {
-    return BuildLive(table, std::move(key_columns), Options{});
+    return BuildLive(table, std::move(key_columns), TreeOptions{});
   }
 
   // Appends one version row to a live index. Writer-side: the caller
@@ -294,7 +287,7 @@ class BaseIndex {
   // null.
   Status Init(const RowTable* table, const Rid* rids, size_t n,
               std::vector<std::string> key_columns,
-              std::vector<std::string> included_columns, Options options);
+              std::vector<std::string> included_columns, TreeOptions options);
 
   // The bytes the tree orders `rid`'s key by: the 4-byte big-endian
   // KissKeyOf key, or the EncodeKey encoding.
@@ -388,7 +381,7 @@ class Database {
                     const std::string& table_name,
                     std::vector<std::string> key_columns,
                     std::vector<std::string> included_columns = {},
-                    BaseIndex::Options options = BaseIndex::Options{});
+                    TreeOptions options = TreeOptions{});
 
   // Builds and registers a *live* secondary index over a versioned
   // table; committed writes reach it via WriteSession. It resolves
@@ -396,7 +389,7 @@ class Database {
   Status BuildLiveIndex(const std::string& index_name,
                         const std::string& table_name,
                         std::vector<std::string> key_columns,
-                        BaseIndex::Options options = BaseIndex::Options{});
+                        TreeOptions options = TreeOptions{});
 
   Result<const BaseIndex*> index(const std::string& name) const;
 

@@ -54,7 +54,9 @@ constexpr size_t kInitialGroupSlots = 64;
 
 }  // namespace
 
-Status CheckTreeShape(size_t kprime, size_t kiss_root_bits) {
+Status CheckTreeShape(const TreeOptions& options) {
+  const size_t kprime = options.kprime;
+  const size_t kiss_root_bits = options.kiss_root_bits;
   if (kprime >= 1 && kprime <= PrefixTree::kMaxKprime &&
       kiss_root_bits >= KissTree::kMinRootBits &&
       kiss_root_bits <= KissTree::kMaxRootBits) {
@@ -69,7 +71,7 @@ Status CheckTreeShape(size_t kprime, size_t kiss_root_bits) {
 }
 
 Result<std::unique_ptr<IndexedTable>> IndexedTable::Create(
-    Schema schema, std::vector<std::string> key_columns, Options options) {
+    Schema schema, std::vector<std::string> key_columns, TreeOptions options) {
   auto table = std::unique_ptr<IndexedTable>(new IndexedTable());
   QPPT_RETURN_NOT_OK(table->Init(std::move(schema), std::move(key_columns),
                                  AggSpec{}, nullptr, options));
@@ -78,7 +80,7 @@ Result<std::unique_ptr<IndexedTable>> IndexedTable::Create(
 
 Result<std::unique_ptr<IndexedTable>> IndexedTable::CreateAggregated(
     std::vector<ColumnDef> key_columns, AggSpec agg, const Schema& agg_input,
-    Options options) {
+    TreeOptions options) {
   if (agg.empty()) {
     return Status::InvalidArgument(
         "CreateAggregated requires at least one aggregate term");
@@ -101,13 +103,13 @@ Result<std::unique_ptr<IndexedTable>> IndexedTable::CreateAggregated(
 
 Status IndexedTable::Init(Schema schema,
                           std::vector<std::string> key_columns, AggSpec agg,
-                          const Schema* agg_input, Options options) {
+                          const Schema* agg_input, TreeOptions options) {
   schema_ = std::move(schema);
   agg_ = std::move(agg);
   if (key_columns.empty()) {
     return Status::InvalidArgument("indexed table needs at least one key column");
   }
-  QPPT_RETURN_NOT_OK(CheckTreeShape(options.kprime, options.kiss_root_bits));
+  QPPT_RETURN_NOT_OK(CheckTreeShape(options));
   if (key_columns.size() > KeyBuf::kCapacity / 8) {
     return Status::InvalidArgument(
         "indexed table takes at most " +

@@ -50,34 +50,35 @@
 
 namespace qppt {
 
+// The shape of the trees an index is built on, for intermediate tables
+// (IndexedTable::Create, CreateAggregated) and base indexes (every
+// BaseIndex build) alike. Each build checks it with CheckTreeShape.
+struct TreeOptions {
+  size_t kprime = 4;           // prefix-tree fragment width
+  bool prefer_kiss = true;     // use the KISS-Tree when the key allows
+  size_t kiss_root_bits = 26;  // KISS-Tree level-1 fragment width
+};
+
 // InvalidArgument unless 1 <= kprime <= PrefixTree::kMaxKprime and
 // KissTree::kMinRootBits <= kiss_root_bits <= KissTree::kMaxRootBits, the
 // tree shapes the constructors assert. IndexedTable and BaseIndex builds
 // return it, so a Release build rejects an unsupported shape instead of
 // hanging or crashing in the tree.
-Status CheckTreeShape(size_t kprime, size_t kiss_root_bits);
+Status CheckTreeShape(const TreeOptions& options);
 
 class IndexedTable {
  public:
   enum class Kind : uint8_t { kKiss, kPrefix };
-
-  // Create and CreateAggregated check kprime and kiss_root_bits with
-  // CheckTreeShape.
-  struct Options {
-    size_t kprime = 4;          // prefix-tree fragment width
-    bool prefer_kiss = true;    // use the KISS-Tree when the key allows
-    size_t kiss_root_bits = 26;
-  };
 
   // A plain (non-aggregating) indexed table: tuples of `schema`, indexed on
   // `key_columns` (each int64/string/double, at most KeyBuf::kCapacity / 8
   // of them; a single int64-like column with prefer_kiss selects the
   // KISS-Tree).
   static Result<std::unique_ptr<IndexedTable>> Create(
-      Schema schema, std::vector<std::string> key_columns, Options options);
+      Schema schema, std::vector<std::string> key_columns, TreeOptions options);
   static Result<std::unique_ptr<IndexedTable>> Create(
       Schema schema, std::vector<std::string> key_columns) {
-    return Create(std::move(schema), std::move(key_columns), Options{});
+    return Create(std::move(schema), std::move(key_columns), TreeOptions{});
   }
 
   // An aggregating indexed table: groups keyed on `key_columns` (which
@@ -87,12 +88,12 @@ class IndexedTable {
   // prefix tree (options.prefer_kiss does not apply).
   static Result<std::unique_ptr<IndexedTable>> CreateAggregated(
       std::vector<ColumnDef> key_columns, AggSpec agg,
-      const Schema& agg_input, Options options);
+      const Schema& agg_input, TreeOptions options);
   static Result<std::unique_ptr<IndexedTable>> CreateAggregated(
       std::vector<ColumnDef> key_columns, AggSpec agg,
       const Schema& agg_input) {
     return CreateAggregated(std::move(key_columns), std::move(agg),
-                            agg_input, Options{});
+                            agg_input, TreeOptions{});
   }
 
   Kind kind() const { return kind_; }
@@ -181,7 +182,7 @@ class IndexedTable {
   IndexedTable() = default;
 
   Status Init(Schema schema, std::vector<std::string> key_columns,
-              AggSpec agg, const Schema* agg_input, Options options);
+              AggSpec agg, const Schema* agg_input, TreeOptions options);
 
   // Decodes a prefix-tree key into the leading key column slots of `out`.
   void DecodeKeyInto(const uint8_t* key, uint64_t* out) const;

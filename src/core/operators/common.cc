@@ -62,7 +62,7 @@ Result<std::vector<BoundResidual>> BindResiduals(
 
 Result<std::unique_ptr<IndexedTable>> MakeOutputTable(
     const OutputSpec& spec, const Schema& assembled,
-    const IndexedTable::Options& options) {
+    const TreeOptions& options) {
   if (spec.agg.empty()) {
     return IndexedTable::Create(assembled, spec.key_columns, options);
   }

@@ -259,7 +259,7 @@ struct OutputSpec {
 // Builds the operator's output table for an assembled-tuple schema.
 Result<std::unique_ptr<IndexedTable>> MakeOutputTable(
     const OutputSpec& spec, const Schema& assembled,
-    const IndexedTable::Options& options);
+    const TreeOptions& options);
 
 // Fills an OperatorStats entry from a finished output table.
 void FillOutputStats(const IndexedTable& table, OperatorStats* stats);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/sync_scan.h"
@@ -24,6 +25,40 @@ struct ValuePair {
   uint64_t right;
 };
 
+// The synchronous scans walk the two mains' trees in lock step, slot by
+// slot, so two prefix mains must share key width and k', and two KISS
+// mains their root width. A mixed pair scans the prefix side's keys and
+// probes the KISS side with them, so they must be single int64 keys.
+Status CheckSameShape(const BoundSide& left, const BoundSide& right) {
+  if (left.is_kiss() != right.is_kiss()) {
+    const PrefixTree& p = left.is_kiss() ? *right.prefix() : *left.prefix();
+    if (p.key_len() == 8) return Status::OK();
+    return Status::InvalidArgument(
+        "star join with mixed KISS/prefix mains requires the prefix main "
+        "to be keyed on the single shared integer join attribute");
+  }
+  if (left.is_kiss()) {
+    const size_t lbits = 32 - left.kiss()->level2_bits();
+    const size_t rbits = 32 - right.kiss()->level2_bits();
+    if (lbits == rbits) return Status::OK();
+    return Status::InvalidArgument(
+        "star join mains differ in KISS-Tree shape: root bits " +
+        std::to_string(lbits) + " vs " + std::to_string(rbits));
+  }
+  const PrefixTree& lp = *left.prefix();
+  const PrefixTree& rp = *right.prefix();
+  if (lp.key_len() == rp.key_len() &&
+      lp.config().kprime == rp.config().kprime) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "star join mains differ in prefix-tree shape: key_len " +
+      std::to_string(lp.key_len()) + " k' " +
+      std::to_string(lp.config().kprime) + " vs key_len " +
+      std::to_string(rp.key_len()) + " k' " +
+      std::to_string(rp.config().kprime));
+}
+
 }  // namespace
 
 Status StarJoinOp::Execute(ExecContext* ctx) {
@@ -34,6 +69,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
                         BoundSide::Bind(*ctx, spec_.left, spec_.left_columns));
   QPPT_ASSIGN_OR_RETURN(
       auto right, BoundSide::Bind(*ctx, spec_.right, spec_.right_columns));
+  QPPT_RETURN_NOT_OK(CheckSameShape(left, right));
 
   // Assembled-tuple layout: left ++ right ++ assist carries.
   // O(columns) schema copy, once per operator bind.
@@ -136,18 +172,18 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   std::vector<StagingRing<ValuePair>> rings(workers);
 
   if (!left.is_kiss() && !right.is_kiss()) {
-    // Prefix-tree mains: structural synchronous scan, split at the trees'
-    // branching level into disjoint subtree pair morsels (§7:
-    // deterministic key positions, no rebalancing).
+    // Prefix-tree mains: structural synchronous scan over a frontier of
+    // jointly populated subtree pairs, expanded below the shared key
+    // prefix until it holds a pair per morsel, sliced into disjoint
+    // morsels (§7: deterministic key positions, no rebalancing).
     const PrefixTree& lp = *left.prefix();
     const PrefixTree& rp = *right.prefix();
     stats.morsels = engine::RunPrefixPairMorsels(
-        site, lp, rp,
-        [&](size_t w, const PairScanLevel& level, size_t begin, size_t end) {
+        site, lp, rp, [&](size_t w, std::span<const PairSlot> slice) {
           CandidatePipeline* pipeline = pipelines[w].get();
           StagingRing<ValuePair>* ring = &rings[w];
           SynchronousScanPairSlots(
-              lp, rp, level, begin, end,
+              lp, rp, slice,
               [&](const uint8_t*, const ValueList* lv, const ValueList* rv) {
                 lv->ForEach([&](uint64_t l) {
                   rv->ForEach(
@@ -188,20 +224,15 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // (KissTree::BatchLookup). Probing with KissKeyOf's 32-bit
     // truncation reproduces exactly the conflation a KISS x KISS scan
     // applies to every attribute value — no reconstruction heuristics.
-    // Morsels split the prefix side at its branching level (self-pairing
-    // reuses the pair-scan partitioner).
+    // Morsels split the prefix side on the same subtree-pair frontier
+    // (self-pairing reuses the pair-scan partitioner).
     const bool left_is_kiss = left.is_kiss();
     const KissTree& ktree = left_is_kiss ? *left.kiss() : *right.kiss();
     const PrefixTree& ptree =
         left_is_kiss ? *right.prefix() : *left.prefix();
-    if (ptree.key_len() != 8) {
-      return Status::InvalidArgument(
-          "star join with mixed KISS/prefix mains requires the prefix main "
-          "to be keyed on the single shared integer join attribute");
-    }
     stats.morsels = engine::RunPrefixPairMorsels(
         site, ptree, ptree,  // self-pair: every populated subtree
-        [&](size_t w, const PairScanLevel& level, size_t begin, size_t end) {
+        [&](size_t w, std::span<const PairSlot> slice) {
           CandidatePipeline* pipeline = pipelines[w].get();
           StagingRing<ValuePair>* ring = &rings[w];
           // Probes are staged and flushed through BatchLookup in
@@ -230,7 +261,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
             n = 0;
           };
           SynchronousScanPairSlots(
-              ptree, ptree, level, begin, end,
+              ptree, ptree, slice,
               [&](const uint8_t* key, const ValueList* vals,
                   const ValueList*) {
                 jobs[n].key = KissKeyOf(SlotFromInt64(DecodeI64(key)));

@@ -9,7 +9,7 @@
 // partitioning and the balanced slice split that the engine's morsel
 // drivers (engine/parallel_ops.h) run on the worker pool
 // (engine/scheduler.h), plus a fork-join scope for client threads.
-// Prefix trees split at their branching level instead (FindPairScanLevel,
+// Prefix trees split on a subtree-pair frontier instead (FindPairFrontier,
 // core/sync_scan.h).
 
 #ifndef QPPT_CORE_PARALLEL_H_

@@ -74,7 +74,7 @@ struct PlanKnobs {
   // configured default (EngineConfig::admission_timeout_ms).
   double queue_timeout_ms = -1;
   // Index construction parameters for intermediate tables.
-  IndexedTable::Options table_options;
+  TreeOptions table_options;
 };
 
 class ExecContext {

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "index/kiss_tree.h"
@@ -154,80 +155,81 @@ void SynchronousScan(const PrefixTree& left, const PrefixTree& right,
   internal::SyncScanRec(left, right, left.root(), right.root(), 0, fn);
 }
 
-// ---- parallel pair scan (branching-level partitioning) -----------------------
+// ---- parallel pair scan (subtree-pair frontier) -----------------------------
 //
-// Order-preserving encodings give keys long shared prefixes (e.g. the
-// sign-flipped leading bytes of small int64 keys), so the top of both
-// trees is a chain of single-slot inner nodes holding zero parallelism.
-// FindPairScanLevel descends that chain to the *branching level*: the
-// shallowest level with more than one jointly populated slot (or a
-// content node). Its slot list is the morsel source of the parallel
-// prefix-tree star join — each jointly populated slot is an independent
-// subtree pair, scanned by SynchronousScanPairSlots.
+// The parallel prefix-tree star join splits two trees into disjoint
+// subtree pairs. FindPairFrontier starts from the roots' jointly populated
+// slots and expands the list one level at a time: every inner x inner pair
+// is replaced by its children populated on both sides, in slot order,
+// until the list holds `target` pairs or no inner x inner pair is left.
+// Pairs with a content side (dynamic expansion) are kept as they are, and
+// the single-child chain that order-preserving encodings put above the
+// trees' tops (the sign-flipped leading bytes of small int64 keys) is
+// expanded like any other level. The list is in ascending key order, and
+// a slice of it is scanned by SynchronousScanPairSlots. Both trees must
+// share key_len and k' (StarJoinOp::Execute checks it at bind time).
 
-struct PairScanLevel {
-  const PrefixTree::Node* lnode = nullptr;
-  const PrefixTree::Node* rnode = nullptr;
-  size_t bit_off = 0;          // bit offset of this level's fragment
-  size_t width = 0;            // fragment width at this level
-  std::vector<size_t> slots;   // jointly populated slots, ascending
+// One jointly populated slot pair: the two slots, found at the level whose
+// fragment starts at `bit_off` and is `width` bits wide.
+struct PairSlot {
+  PrefixTree::Slot left;
+  PrefixTree::Slot right;
+  uint32_t bit_off;
+  uint32_t width;
 };
 
-inline PairScanLevel FindPairScanLevel(const PrefixTree& left,
-                                       const PrefixTree& right) {
+inline std::vector<PairSlot> FindPairFrontier(const PrefixTree& left,
+                                              const PrefixTree& right,
+                                              size_t target) {
   assert(left.key_len() == right.key_len() &&
          left.config().kprime == right.config().kprime &&
          "synchronous scan requires identical key layout");
-  PairScanLevel level;
-  if (left.num_keys() == 0 || right.num_keys() == 0) return level;
-  level.slots.reserve(size_t{1} << left.config().kprime);  // one allocation
-  size_t key_bits = left.key_len() * 8;
-  const PrefixTree::Node* lnode = left.root();
-  const PrefixTree::Node* rnode = right.root();
-  size_t bit_off = 0;
-  for (;;) {
-    size_t width = std::min(left.config().kprime, key_bits - bit_off);
-    level.lnode = lnode;
-    level.rnode = rnode;
-    level.bit_off = bit_off;
-    level.width = width;
-    level.slots.clear();
-    size_t fanout = size_t{1} << width;
-    for (size_t i = 0; i < fanout; ++i) {
-      if (PrefixTree::LoadSlot(&lnode->slots[i]) != 0 &&
-          PrefixTree::LoadSlot(&rnode->slots[i]) != 0) {
-        level.slots.push_back(i);
+  std::vector<PairSlot> frontier;
+  if (left.num_keys() == 0 || right.num_keys() == 0) return frontier;
+  const size_t key_bits = left.key_len() * 8;
+  auto add_children = [&](const PrefixTree::Node* lnode,
+                          const PrefixTree::Node* rnode, size_t bit_off,
+                          std::vector<PairSlot>* out) {
+    const size_t width = std::min(left.config().kprime, key_bits - bit_off);
+    for (size_t i = 0; i < (size_t{1} << width); ++i) {
+      PrefixTree::Slot ls = PrefixTree::LoadSlot(&lnode->slots[i]);
+      if (ls == 0) continue;
+      PrefixTree::Slot rs = PrefixTree::LoadSlot(&rnode->slots[i]);
+      if (rs == 0) continue;
+      out->push_back({ls, rs, static_cast<uint32_t>(bit_off),
+                      static_cast<uint32_t>(width)});
+    }
+  };
+  add_children(left.root(), right.root(), 0, &frontier);
+  std::vector<PairSlot> next;
+  while (frontier.size() < target) {
+    next.clear();
+    bool expanded = false;
+    for (const PairSlot& p : frontier) {
+      if (PrefixTree::IsContent(p.left) || PrefixTree::IsContent(p.right)) {
+        next.push_back(p);
+        continue;
       }
+      add_children(PrefixTree::AsNode(p.left), PrefixTree::AsNode(p.right),
+                   p.bit_off + p.width, &next);
+      expanded = true;
     }
-    if (level.slots.size() != 1) return level;  // branched (or empty): stop
-    PrefixTree::Slot ls = PrefixTree::LoadSlot(&lnode->slots[level.slots[0]]);
-    PrefixTree::Slot rs = PrefixTree::LoadSlot(&rnode->slots[level.slots[0]]);
-    if (PrefixTree::IsContent(ls) || PrefixTree::IsContent(rs) ||
-        bit_off + width >= key_bits) {
-      return level;  // single pair resolves directly — nothing to split
-    }
-    lnode = PrefixTree::AsNode(ls);
-    rnode = PrefixTree::AsNode(rs);
-    bit_off += width;
+    if (!expanded) break;
+    frontier.swap(next);
   }
+  return frontier;
 }
 
-// Scans the subtree pairs behind level.slots[begin..end) (indexes into
-// the slot list), invoking fn exactly like SynchronousScan. Disjoint
-// index subranges touch disjoint subtrees, so concurrent callers need no
-// synchronization. Within a subrange, keys ascend in encoded order.
+// Scans the subtree pairs of a frontier slice, invoking fn exactly like
+// SynchronousScan. Disjoint slices touch disjoint subtrees, so concurrent
+// callers need no synchronization. Within a slice, keys ascend in encoded
+// order.
 template <typename F>
 void SynchronousScanPairSlots(const PrefixTree& left, const PrefixTree& right,
-                              const PairScanLevel& level, size_t begin,
-                              size_t end, F&& fn) {
-  if (level.lnode == nullptr) return;
-  if (end > level.slots.size()) end = level.slots.size();
-  for (size_t s = begin; s < end; ++s) {
-    size_t i = level.slots[s];
-    internal::SyncScanSlotPair(
-        left, right, PrefixTree::LoadSlot(&level.lnode->slots[i]),
-        PrefixTree::LoadSlot(&level.rnode->slots[i]), level.bit_off,
-        level.width, fn);
+                              std::span<const PairSlot> pairs, F&& fn) {
+  for (const PairSlot& p : pairs) {
+    internal::SyncScanSlotPair(left, right, p.left, p.right, p.bit_off,
+                               p.width, fn);
   }
 }
 

@@ -2,21 +2,23 @@
 // path of selection, select-join and star join.
 //
 // The pattern shared by every driver: partition the input index into
-// disjoint morsels (core/parallel.h — deterministic tree partitions need
-// no rebalancing guard), run the operator's tuple loop per morsel on the
-// worker pool with *per-worker* partial output tables, and fold the
-// partials into the real output once at the end, serially on the
-// operator's thread (PartialOutputs::MergeInto): plain partials re-insert
-// their tuples, aggregated ones fold their accumulators into the output's
-// groups. The input trees are never mutated, so concurrent readers need
-// no synchronization. Every driver splits at WorkerPool::morsel_target()
-// (engine/scheduler.h).
+// disjoint morsels (core/parallel.h's KISS key ranges and value slices,
+// core/sync_scan.h's prefix-tree subtree-pair frontier — deterministic
+// tree partitions need no rebalancing guard), run the operator's tuple
+// loop per morsel on the worker pool with *per-worker* partial output
+// tables, and fold the partials into the real output once at the end,
+// serially on the operator's thread (PartialOutputs::MergeInto): plain
+// partials re-insert their tuples, aggregated ones fold their
+// accumulators into the output's groups. The input trees are never
+// mutated, so concurrent readers need no synchronization. Every driver
+// splits at WorkerPool::morsel_target() (engine/scheduler.h).
 //
 // A site without a pool runs inline, as in morsel-driven execution: the
 // driver splits its input into one morsel (a KISS key range: one per
-// populated half of the key space) and runs it on the calling thread as
-// worker 0, and PartialOutputs hands out the output table itself, so a
-// serial operator is the same code with nothing cloned or folded.
+// populated half of the key space; a prefix-tree pair: the roots' joint
+// slots) and runs it on the calling thread as worker 0, and
+// PartialOutputs hands out the output table itself, so a serial operator
+// is the same code with nothing cloned or folded.
 //
 // The fold is serial because it is cheap: the benchmark workloads'
 // partials hold at most a few thousand groups or a few tens of thousands
@@ -33,6 +35,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -161,20 +164,25 @@ size_t RunKissRangeMorsels(const MorselSite& site, const KissTree& tree,
   });
 }
 
-// Pair-partitions two prefix trees at their branching level
-// (FindPairScanLevel, core/sync_scan.h) and runs
-// fn(worker, level, begin, end) for each slot-list slice — the driver of
-// the prefix-tree star join; the callback scans its slice with
-// SynchronousScanPairSlots. Returns the number of morsels forked (0 =
-// inline, or the trees share no subtree). Templated for the same
-// no-type-erasure reason as RunKissRangeMorsels above.
+// Pair-partitions two prefix trees on a frontier of at least
+// morsel_target() subtree pairs where the trees hold that many
+// (FindPairFrontier, core/sync_scan.h) and runs fn(worker, slice) for
+// each of up to morsel_target() even slices of it
+// — the driver of the prefix-tree star join; the callback scans its slice
+// with SynchronousScanPairSlots. An inline run scans the roots' joint
+// slots as one morsel. Returns the number of morsels forked (0 = inline,
+// or the trees share no subtree). Templated for the same no-type-erasure
+// reason as RunKissRangeMorsels above.
 template <typename Fn>
 size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
                             const PrefixTree& right, const Fn& fn) {
-  PairScanLevel level = FindPairScanLevel(left, right);
-  auto slices = SplitEvenly(level.slots.size(), site.morsel_target());
+  const size_t target = site.morsel_target();
+  const std::vector<PairSlot> frontier =
+      FindPairFrontier(left, right, target);
+  auto slices = SplitEvenly(frontier.size(), target);
   return RunMorsels(site, slices.size(), [&](size_t worker, size_t m) {
-    fn(worker, level, slices[m].first, slices[m].second);
+    const auto [begin, end] = slices[m];
+    fn(worker, std::span<const PairSlot>(frontier).subspan(begin, end - begin));
   });
 }
 

@@ -3,7 +3,7 @@
 // A fixed pool of worker threads executes *morsels*: small, independent
 // units of operator work (typically one disjoint KISS-Tree key subrange
 // from PartitionKissRange, core/parallel.h, or one slice of a prefix-tree
-// pair's branching-level slots from FindPairScanLevel, core/sync_scan.h).
+// pair's subtree-pair frontier from FindPairFrontier, core/sync_scan.h).
 // Each worker owns a deque; a submitted batch is spread round-robin
 // across the deques, workers pop their own deque LIFO and steal FIFO
 // from others when idle. Morsels from *different* concurrent queries

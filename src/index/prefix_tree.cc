@@ -7,6 +7,18 @@
 
 namespace qppt {
 
+namespace {
+
+// True when keys a and b agree on their leading `bits` bits.
+bool SharePrefix(const uint8_t* a, const uint8_t* b, size_t bits) {
+  const size_t bytes = bits / 8;
+  if (std::memcmp(a, b, bytes) != 0) return false;
+  const size_t rest = bits % 8;
+  return rest == 0 || ((a[bytes] ^ b[bytes]) >> (8 - rest)) == 0;
+}
+
+}  // namespace
+
 PrefixTree::PrefixTree(Config config)
     : config_(config),
       key_bits_(config.key_len * 8),
@@ -19,6 +31,13 @@ PrefixTree::PrefixTree(Config config)
   assert(config.key_len >= 1 && config.key_len <= KeyBuf::kCapacity);
   assert(config.kprime >= 1 && config.kprime <= kMaxKprime);
   root_ = NewNode();
+  PublishTop(root_, 0);
+}
+
+void PrefixTree::PublishTop(Node* node, size_t bit_off) {
+  const Top* top = node_arena_.New<Top>(Top{node, bit_off});
+  // pairs-with: prefix-top
+  top_.store(top, std::memory_order_release);
 }
 
 PrefixTree::Node* PrefixTree::NewNode() {
@@ -44,8 +63,14 @@ PrefixTree::ContentNode* PrefixTree::NewContent(const uint8_t* key) {
 
 PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
                                                          bool* created) {
-  Node* node = root_;
-  size_t bit_off = 0;
+  // relaxed: the single writer is the only thread that stores top_.
+  const Top* top = top_.load(std::memory_order_relaxed);
+  // A key outside the shared prefix starts at the root: it fills an empty
+  // slot in a chain node above the top, which becomes the new top.
+  const bool in_prefix =
+      top->bit_off == 0 || SharePrefix(key, prefix_key_, top->bit_off);
+  Node* node = in_prefix ? top->node : root_;
+  size_t bit_off = in_prefix ? top->bit_off : 0;
   for (;;) {
     size_t width = FragWidth(bit_off);
     uint32_t frag =
@@ -55,6 +80,8 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
     if (slot == 0) {
       ContentNode* c = NewContent(key);
       StoreSlot(&slot, reinterpret_cast<uintptr_t>(c) | 1);
+      if (bit_off < top->bit_off) PublishTop(node, bit_off);
+      if (prefix_key_ == nullptr) prefix_key_ = c->key();
       *created = true;
       return c;
     }
@@ -70,8 +97,8 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
       // concurrent reader sees either the old content slot or the
       // complete chain — never an inner node that lost `existing`.
       size_t off = bit_off + width;
-      Node* top = NewNode();
-      Node* inner = top;
+      Node* chain = NewNode();
+      Node* inner = chain;
       for (;;) {
         size_t w = FragWidth(off);
         uint32_t existing_frag =
@@ -80,9 +107,13 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateContent(const uint8_t* key,
         if (existing_frag != new_frag) {
           inner->slots[existing_frag] =
               reinterpret_cast<uintptr_t>(existing) | 1;
+          // The tree's first key sits in the root; with the second, every
+          // key passes through the node where the two diverge.
+          const bool second_key = num_keys() == 1;
           ContentNode* c = NewContent(key);
           inner->slots[new_frag] = reinterpret_cast<uintptr_t>(c) | 1;
-          StoreSlot(&slot, reinterpret_cast<uintptr_t>(top));
+          StoreSlot(&slot, reinterpret_cast<uintptr_t>(chain));
+          if (second_key) PublishTop(inner, off);
           *created = true;
           return c;
         }
@@ -121,8 +152,9 @@ PrefixTree::ContentNode* PrefixTree::FindOrCreateGroup(const uint8_t* key,
 }
 
 const PrefixTree::ContentNode* PrefixTree::Find(const uint8_t* key) const {
-  const Node* node = root_;
-  size_t bit_off = 0;
+  const Top* top = LoadTop();
+  const Node* node = top->node;
+  size_t bit_off = top->bit_off;
   for (;;) {
     size_t width = FragWidth(bit_off);
     uint32_t frag =
@@ -148,13 +180,14 @@ void PrefixTree::BatchLookup(std::span<LookupJob> jobs) const {
   // Algorithm 1 from the paper: process the batch level by level. Each
   // round computes every unfinished job's child slot and issues a prefetch
   // for it, so that by the time the next round dereferences the child the
-  // cache line is (ideally) already in L1.
+  // cache line is (ideally) already in L1. Every job starts at the top.
+  const Top* top = LoadTop();
   for (auto& job : jobs) {
-    job.node = root_;
-    job.bit_off = 0;
+    job.node = top->node;
+    job.bit_off = static_cast<uint32_t>(top->bit_off);
     job.done = false;
     job.result = nullptr;
-    PrefetchRead(&root_->slots[Frag(job.key, 0)]);
+    PrefetchRead(&top->node->slots[Frag(job.key, top->bit_off)]);
   }
   bool done = false;
   while (!done) {

@@ -20,12 +20,37 @@
 //   * kAggregate  — each key maps to a fixed-size in-place accumulator
 //                   (aggregation-on-insert, §3: group-by as a side effect).
 //
+// The top: order-preserving encodings give keys long shared prefixes (an
+// int64 key's sign-flipped leading bytes), so the first levels of the
+// tree are a chain of single-child nodes that every key passes through.
+// The tree keeps a pointer to the bottom of that chain — the *top*, the
+// deepest node every key passes through, with the bit offset of its
+// fragment — and every point descent starts there: Find, Lookup and
+// BatchLookup, and the insert paths. The chain itself stays in place
+// (scans and the synchronous scan walk from the root), so no node is ever
+// unlinked; the top is the top-level case of ART's path compression
+// (Leis, Kemper, Neumann, ICDE 2013) without changing the tree's shape.
+// A reader needs no prefix check: a key outside the shared prefix is not
+// in the tree, and the final full-key compare rejects it. The writer
+// starts at the top only when the key's leading bits match the prefix
+// (compared with a stored key: content nodes never move), else at the
+// root, and moves the top after the slot store that changes it: a fill
+// of an empty slot above the top makes that node the top, and the second
+// key's dynamic expansion makes the node where the two keys diverge the
+// top. So a tree publishes at most one top per level, plus the root's.
+//
 // The tree is single-writer (intermediate indexes are query-private, §3).
 // Live base indexes additionally allow lock-free readers concurrent with
 // that one writer: slots are published with release stores and read with
 // acquire loads, and the tree never rebalances (§7), so a published slot
 // is immutable except for the RCU-style dynamic-expansion swap, which
 // builds the replacement chain detached and publishes it with one store.
+// Each top is an immutable record in the node arena, published with one
+// release store after the slot store that changed it and loaded with
+// acquire. A reader holding a stale top either walks from a node every
+// key still passes through, or misses only a key whose insert it raced.
+// A live index inserts before its transaction's commit publishes, so a
+// snapshot that includes a row also sees the top that row's insert set.
 
 #ifndef QPPT_INDEX_PREFIX_TREE_H_
 #define QPPT_INDEX_PREFIX_TREE_H_
@@ -195,11 +220,25 @@ class PrefixTree {
   };
 
   // Level-synchronous batch lookup with software prefetching: all jobs
-  // advance one tree level per round; each child is prefetched one round
-  // before it is dereferenced, hiding main-memory latency.
+  // start at the top and advance one tree level per round; each child is
+  // prefetched one round before it is dereferenced, hiding main-memory
+  // latency.
   void BatchLookup(std::span<LookupJob> jobs) const;
 
  private:
+  // The deepest node every key passes through, and the bit offset of its
+  // fragment. Immutable once published; the root at offset 0 until the
+  // tree holds two keys.
+  struct Top {
+    Node* node;
+    size_t bit_off;
+  };
+
+  const Top* LoadTop() const {
+    return top_.load(std::memory_order_acquire);
+  }
+  void PublishTop(Node* node, size_t bit_off);
+
   Node* NewNode();
   ContentNode* NewContent(const uint8_t* key);
   size_t FragWidth(size_t bit_off) const {
@@ -265,6 +304,10 @@ class PrefixTree {
   Arena node_arena_;
   PageArena dup_arena_;
   Node* root_ = nullptr;
+  std::atomic<const Top*> top_{nullptr};
+  // The key of the first content node, writer-side only: every key in the
+  // tree shares the top's prefix with it.
+  const uint8_t* prefix_key_ = nullptr;
   std::atomic<size_t> num_keys_{0};
   std::atomic<size_t> num_inner_nodes_{0};
 };

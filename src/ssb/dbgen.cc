@@ -151,7 +151,7 @@ Status BuildLineorder(Database* db, bool versioned, size_t count,
 // every selection and join attribute the 13 queries touch (§3 — "created
 // once and remain in the data pool for future queries").
 Status BuildIndexes(Database* db, const SsbConfig& config) {
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = config.kiss_root_bits;
   opt.kprime = config.kprime;
   opt.prefer_kiss = config.prefer_kiss;

@@ -26,8 +26,8 @@ std::unique_ptr<RowTable> MakePartTable(size_t n) {
   return table;
 }
 
-BaseIndex::Options SmallKiss() {
-  BaseIndex::Options opt;
+TreeOptions SmallKiss() {
+  TreeOptions opt;
   opt.kiss_root_bits = 20;
   return opt;
 }
@@ -151,7 +151,7 @@ TEST(BaseIndexTest, SnapshotIndexRespectsVisibility) {
   uint64_t row2[1] = {SlotFromInt64(2)};
   table.Insert(t2, row2);
 
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 16;
   auto index =
       BaseIndex::BuildFromSnapshot(&table, tm.last_commit_ts(), {"k"}, {}, opt);
@@ -348,7 +348,7 @@ TEST(BaseIndexLayoutTest, KissKeysWithNegativeValues) {
 
 TEST(BaseIndexLayoutTest, PrefixKeysWithNegativeAndDoubleValues) {
   auto table = MakeMixedTable(5000);
-  BaseIndex::Options prefix;
+  TreeOptions prefix;
   prefix.prefer_kiss = false;
   for (const char* column : {"ik", "wide", "dk"}) {
     SCOPED_TRACE(column);
@@ -425,7 +425,7 @@ TEST(BaseIndexTest, RejectsOutOfRangeTreeOptions) {
   auto table = MakePartTable(100);
   const std::pair<size_t, size_t> bad[] = {{0, 26}, {17, 26}, {4, 15}, {4, 27}};
   for (auto [kprime, root_bits] : bad) {
-    BaseIndex::Options opt;
+    TreeOptions opt;
     opt.kprime = kprime;
     opt.kiss_root_bits = root_bits;
     for (bool prefer_kiss : {true, false}) {
@@ -435,7 +435,7 @@ TEST(BaseIndexTest, RejectsOutOfRangeTreeOptions) {
           << kprime << "/" << root_bits << ": " << index.status();
     }
   }
-  BaseIndex::Options edge;
+  TreeOptions edge;
   edge.kprime = 16;
   edge.kiss_root_bits = 16;
   EXPECT_TRUE(BaseIndex::Build(table.get(), {"partkey"}, {}, edge).ok());
@@ -452,7 +452,7 @@ TEST(DatabaseTest, TablesAndIndexes) {
   ASSERT_TRUE(db.table("part").ok());
   EXPECT_TRUE(db.table("nope").status().IsNotFound());
 
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 20;
   ASSERT_TRUE(db.BuildIndex("part_brand", "part", {"brand"}, {"partkey"}, opt)
                   .ok());
@@ -476,7 +476,7 @@ TEST(DatabaseTest, BuildIndexRejectsVersionedTable) {
   uint64_t row[1] = {SlotFromInt64(5)};
   table->Insert(txn, row);
 
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 16;
   Status built = db.BuildIndex("t_k", "t", {"k"}, {}, opt);
   EXPECT_TRUE(built.IsInvalidArgument()) << built;

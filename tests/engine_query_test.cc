@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/operators/select_join.h"
@@ -23,6 +24,7 @@
 #include "core/parallel.h"
 #include "engine/session.h"
 #include "engine/write_session.h"
+#include "ssb/queries_baseline.h"
 #include "ssb/queries_qppt.h"
 #include "util/cancel.h"
 #include "util/rng.h"
@@ -218,6 +220,91 @@ TEST_F(EngineQueryTest, OutOfRangeTableOptionsFailCleanly) {
   EXPECT_EQ(runner.queries_running(), 0u);
   auto healthy = RunQppt(runner, *data_, "2.1", PlanKnobs{});
   EXPECT_TRUE(healthy.ok()) << healthy.status();
+}
+
+// Star joins over mains of different tree shapes. The synchronous scans
+// walk the two mains' trees slot by slot, so prefix mains must share k'
+// and key width, and KISS mains their root bits: a mismatch is an
+// InvalidArgument at bind time, never wrong rows or a crash. Every query
+// of the flight either equals the column engine or returns
+// InvalidArgument, inline and on 4 workers, and at least one star join
+// meets the mismatch.
+class TreeShapeMismatchTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<SsbData> Data(bool prefer_kiss, size_t kprime,
+                                       size_t kiss_root_bits) {
+    SsbConfig cfg;
+    cfg.scale_factor = 0.01;
+    cfg.seed = 5;
+    cfg.prefer_kiss = prefer_kiss;
+    cfg.kprime = kprime;
+    cfg.kiss_root_bits = kiss_root_bits;
+    auto data = Generate(cfg);
+    EXPECT_TRUE(data.ok()) << data.status();
+    return data.ok() ? std::move(data).value() : nullptr;
+  }
+
+  static void ExpectColumnOrInvalid(SsbData& data, const PlanKnobs& knobs,
+                                    const std::string& label) {
+    engine::EngineConfig cfg;
+    cfg.threads = 4;
+    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
+    engine::EngineRunner runner(cfg);
+    size_t rejected = 0;
+    for (const auto& id : AllQueryIds()) {
+      auto column = RunColumn(data, id);
+      ASSERT_TRUE(column.ok()) << column.status();
+      for (size_t threads : {1, 4}) {
+        const std::string where =
+            label + " Q" + id + " t=" + std::to_string(threads);
+        auto got = threads == 1 ? RunQppt(data, id, knobs)
+                                : RunQppt(runner, data, id, knobs);
+        if (!got.ok()) {
+          EXPECT_TRUE(got.status().IsInvalidArgument())
+              << where << ": " << got.status();
+          ++rejected;
+          continue;
+        }
+        ASSERT_EQ(got->rows.size(), column->rows.size()) << where;
+        for (size_t i = 0; i < got->rows.size(); ++i) {
+          ASSERT_EQ(got->rows[i], column->rows[i]) << where << " row " << i;
+        }
+      }
+    }
+    EXPECT_GT(rejected, 0u) << label;
+  }
+};
+
+TEST_F(TreeShapeMismatchTest, PrefixBaseAtKprime4WithIntermediatesAt8) {
+  auto data = Data(/*prefer_kiss=*/false, /*kprime=*/4, 26);
+  ASSERT_NE(data, nullptr);
+  PlanKnobs knobs;
+  knobs.table_options = {.kprime = 8, .prefer_kiss = false};
+  ExpectColumnOrInvalid(*data, knobs, "base k'4, intermediates k'8");
+}
+
+// Its own case: a scan that reads the base trees' 256-slot nodes in
+// step with the intermediates' 16-slot ones runs past the latter, which
+// crashes rather than fails.
+TEST_F(TreeShapeMismatchTest, PrefixBaseAtKprime8WithIntermediatesAt4) {
+  auto data = Data(/*prefer_kiss=*/false, /*kprime=*/8, 26);
+  ASSERT_NE(data, nullptr);
+  PlanKnobs knobs;
+  knobs.table_options = {.kprime = 4, .prefer_kiss = false};
+  ExpectColumnOrInvalid(*data, knobs, "base k'8, intermediates k'4");
+}
+
+TEST_F(TreeShapeMismatchTest, KissBaseAndIntermediatesDifferInRootBits) {
+  for (const auto& [base_bits, inter_bits] :
+       {std::pair<size_t, size_t>{26, 20}, std::pair<size_t, size_t>{20, 26}}) {
+    auto data = Data(/*prefer_kiss=*/true, 4, base_bits);
+    ASSERT_NE(data, nullptr);
+    PlanKnobs knobs;
+    knobs.table_options.kiss_root_bits = inter_bits;
+    ExpectColumnOrInvalid(*data, knobs,
+                          "KISS base root bits " + std::to_string(base_bits) +
+                              ", intermediates " + std::to_string(inter_bits));
+  }
 }
 
 // A token cancelled before submission: the query never runs, and a
@@ -503,7 +590,7 @@ TEST(StagingRingEdgesTest, LiveIndexMatchesClusteredIndex) {
     ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
     ASSERT_TRUE(db.AddTable(std::move(plain)).ok());
     ASSERT_TRUE(db.AddVersionedTable(std::move(live)).ok());
-    BaseIndex::Options opt;
+    TreeOptions opt;
     opt.kiss_root_bits = 16;
     ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}, opt).ok());
     ASSERT_TRUE(db.BuildIndex("plain_g", "fact_plain", {"g"}, {"amount"}, opt)

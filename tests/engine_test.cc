@@ -439,9 +439,9 @@ TEST(ValueMorselsTest, RunMorselsVisitEveryValueOnce) {
     }
     ASSERT_TRUE(db.AddTable(std::move(table)).ok());
   }
-  BaseIndex::Options kiss;
+  TreeOptions kiss;
   kiss.kiss_root_bits = 20;  // 12-bit level-2 fragment: 4096 keys per bucket
-  BaseIndex::Options prefix = kiss;
+  TreeOptions prefix = kiss;
   prefix.prefer_kiss = false;
   ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {}, kiss).ok());
   ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {}, prefix).ok());
@@ -655,7 +655,7 @@ TEST(SessionNegativeRangeTest, KissRangeReadsMatchPrefix) {
   Schema schema({{"k", ValueType::kInt64, nullptr},
                  {"v", ValueType::kInt64, nullptr}});
   auto make = [&](bool prefer_kiss) {
-    IndexedTable::Options opt;
+    TreeOptions opt;
     opt.prefer_kiss = prefer_kiss;
     opt.kiss_root_bits = 20;
     auto table = IndexedTable::Create(schema, {"k"}, opt);

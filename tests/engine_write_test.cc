@@ -48,7 +48,7 @@ std::unique_ptr<Database> MakeDb() {
   table->CommitTransaction(txn, ts);
   tm.FinishCommit(txn, ts);
   EXPECT_TRUE(db->AddVersionedTable(std::move(table)).ok());
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 16;
   EXPECT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
   return db;
@@ -358,6 +358,91 @@ TEST(WriteSessionTest, ConcurrentWritersAndSnapshotReaders) {
             static_cast<size_t>(kInitialRows + kCommits * kBatch));
   EXPECT_EQ(engine.write_stats().committed,
             static_cast<uint64_t>(kCommits));
+}
+
+// A live PREFIX index whose top moves at every commit, read by point and
+// IN selections racing the writer. Commit c (1-based) inserts one key
+// that diverges from every earlier key one fragment higher than the last
+// did (1, 2, then 16^1 .. 16^15: in the order-preserving encoding each
+// one parts from the others at the next nibble up), so the writer
+// publishes a new top with each insert. A reader at snapshot base_ts + c
+// must find exactly the keys of commits 1..c. TSan target.
+TEST(WriteSessionTest, LivePrefixTopMovesUnderSnapshotReaders) {
+  std::vector<int64_t> keys{1, 2};
+  for (int nibble = 1; nibble <= 15; ++nibble) {
+    keys.push_back(int64_t{1} << (4 * nibble));
+  }
+  for (int round = 0; round < 4; ++round) {
+    auto db = std::make_unique<Database>();
+    ASSERT_TRUE(db->AddVersionedTable(
+                      std::make_unique<MvccTable>(ItemsSchema(), "items"))
+                    .ok());
+    TreeOptions opt;
+    opt.prefer_kiss = false;
+    ASSERT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
+    EngineRunner engine(
+        EngineConfig{.threads = 2, .clamp_threads_to_hardware = false});
+    const Timestamp base_ts = db->txn_manager().last_commit_ts();
+    auto run = [&](KeyPredicate predicate, PlanStats* stats) {
+      SelectionSpec sel;
+      sel.input_index = "items_by_k";
+      sel.predicate = std::move(predicate);
+      sel.carry_columns = {"k", "v"};
+      sel.output = {"out", {"k"}, {}};
+      Plan plan;
+      plan.Emplace<SelectionOp>(sel);
+      plan.set_result_slot("out");
+      return engine.Execute(*db, plan, PlanKnobs{}, stats);
+    };
+
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      [&] {
+        for (size_t c = 1; c <= keys.size(); ++c) {
+          WriteSession ws = engine.OpenWriteSession(db.get());
+          uint64_t row[2] = {SlotFromInt64(keys[c - 1]),
+                             SlotFromInt64(static_cast<int64_t>(c))};
+          ASSERT_TRUE(ws.Insert("items", row).ok());
+          ASSERT_TRUE(ws.Commit().ok());
+        }
+      }();
+      done.store(true, std::memory_order_release);
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 3; ++r) {
+      readers.emplace_back([&, r] {
+        size_t probe = static_cast<size_t>(r);
+        while (!done.load(std::memory_order_acquire)) {
+          // A point read of one commit's key: visible iff committed.
+          probe = (probe + 1) % keys.size();
+          PlanStats stats;
+          auto point = run(KeyPredicate::Point(keys[probe]), &stats);
+          ASSERT_TRUE(point.ok()) << point.status();
+          size_t c = static_cast<size_t>(stats.read_ts - base_ts);
+          ASSERT_EQ(point->rows.size(), probe < c ? 1u : 0u)
+              << "key " << keys[probe] << " at commit " << c;
+          // IN over every commit's key: exactly commits 1..c.
+          auto in = run(KeyPredicate::In(keys), &stats);
+          ASSERT_TRUE(in.ok()) << in.status();
+          c = static_cast<size_t>(stats.read_ts - base_ts);
+          ASSERT_EQ(in->rows.size(), c);
+          for (const auto& row : in->rows) {
+            const int64_t v = row[1].AsInt();
+            ASSERT_GE(v, 1);
+            ASSERT_LE(static_cast<size_t>(v), c);
+            EXPECT_EQ(row[0], Value::Int(keys[static_cast<size_t>(v) - 1]));
+          }
+        }
+      });
+    }
+    writer.join();
+    for (auto& t : readers) t.join();
+    PlanStats stats;
+    auto all = run(KeyPredicate::In(keys), &stats);
+    ASSERT_TRUE(all.ok()) << all.status();
+    EXPECT_EQ(stats.read_ts, base_ts + keys.size());
+    EXPECT_EQ(all->rows.size(), keys.size());
+  }
 }
 
 // ---- RetryTxn -----------------------------------------------------------

@@ -61,7 +61,7 @@ std::unique_ptr<Database> MakeDb() {
   table->CommitTransaction(txn, ts);
   tm.FinishCommit(txn, ts);
   EXPECT_TRUE(db->AddVersionedTable(std::move(table)).ok());
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 16;
   EXPECT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
   return db;

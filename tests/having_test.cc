@@ -27,7 +27,7 @@ class HavingTest : public ::testing::Test {
       reference_[sku] += Int64FromSlot(row[1]);
     }
     ASSERT_TRUE(db_.AddTable(std::move(orders)).ok());
-    BaseIndex::Options opt;
+    TreeOptions opt;
     opt.kiss_root_bits = 16;
     ASSERT_TRUE(
         db_.BuildIndex("orders_by_sku", "orders", {"sku"}, {"amount"}, opt)
@@ -164,7 +164,7 @@ class DoubleHavingTest : public ::testing::Test {
       t->AppendRow(row);
     }
     ASSERT_TRUE(db_.AddTable(std::move(t)).ok());
-    BaseIndex::Options opt;
+    TreeOptions opt;
     opt.kiss_root_bits = 16;
     ASSERT_TRUE(db_.BuildIndex("t_by_g", "t", {"g"}, {"x", "price"}, opt).ok());
   }

@@ -21,8 +21,8 @@ Schema TupleSchema() {
                  {"brand", ValueType::kInt64, nullptr}});
 }
 
-IndexedTable::Options SmallKiss() {
-  IndexedTable::Options opt;
+TreeOptions SmallKiss() {
+  TreeOptions opt;
   opt.kiss_root_bits = 20;
   return opt;
 }
@@ -40,7 +40,7 @@ TEST(IndexedTableTest, CompositeKeyUsesPrefixTree) {
 }
 
 TEST(IndexedTableTest, PreferKissOffUsesPrefixTree) {
-  IndexedTable::Options opt;
+  TreeOptions opt;
   opt.prefer_kiss = false;
   auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, opt);
   ASSERT_TRUE(table.ok());
@@ -76,7 +76,7 @@ TEST(IndexedTableTest, RejectsMoreKeyColumnsThanAKeyHolds) {
 TEST(IndexedTableTest, RejectsOutOfRangeTreeOptions) {
   const std::pair<size_t, size_t> bad[] = {{0, 26}, {17, 26}, {4, 15}, {4, 27}};
   for (auto [kprime, root_bits] : bad) {
-    IndexedTable::Options opt;
+    TreeOptions opt;
     opt.kprime = kprime;
     opt.kiss_root_bits = root_bits;
     for (bool prefer_kiss : {true, false}) {
@@ -88,7 +88,7 @@ TEST(IndexedTableTest, RejectsOutOfRangeTreeOptions) {
   }
   const std::pair<size_t, size_t> edges[] = {{1, 16}, {16, 26}};
   for (auto [kprime, root_bits] : edges) {
-    IndexedTable::Options opt;
+    TreeOptions opt;
     opt.kprime = kprime;
     opt.kiss_root_bits = root_bits;
     EXPECT_TRUE(IndexedTable::Create(TupleSchema(), {"orderdate"}, opt).ok());
@@ -376,7 +376,7 @@ TEST(IndexedTableTest, SingleKeyAggregationOnPrefix) {
                 {"rev", ValueType::kInt64, nullptr}});
   AggSpec agg({{AggFn::kSum, ScalarExpr::Column("rev"), "total"},
                {AggFn::kCount, {}, "n"}});
-  IndexedTable::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 20;
   ASSERT_TRUE(opt.prefer_kiss);
   auto table = IndexedTable::CreateAggregated(

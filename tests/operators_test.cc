@@ -35,7 +35,7 @@ constexpr int64_t kNumRegions = 5;
 class OperatorsTest : public ::testing::Test {
  public:
   void SetUp() override {
-    BaseIndex::Options opt;
+    TreeOptions opt;
     opt.kiss_root_bits = 20;
 
     {
@@ -405,7 +405,7 @@ TEST_F(OperatorsTest, MultidimensionalSelection) {
   // §4.1: conjunctive predicates prefer a multidimensional index as
   // input. Box predicate (brand in [5, 9]) AND (partkey in [100, 300])
   // over a composite (brand, partkey) index.
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 20;
   ASSERT_TRUE(db_.BuildIndex("part_brand_pk", "part", {"brand", "partkey"},
                              {"partkey", "brand"}, opt)
@@ -522,7 +522,7 @@ TEST(StarJoinFamiliesTest, ExtremeKeysJoinIdenticallyAcrossFamilies) {
                        int64_t value_base, int64_t dups) {
     Schema schema({{"k", ValueType::kInt64, nullptr},
                    {value_col, ValueType::kInt64, nullptr}});
-    IndexedTable::Options opt;
+    TreeOptions opt;
     opt.prefer_kiss = prefer_kiss;
     opt.kiss_root_bits = 20;
     auto table = IndexedTable::Create(schema, {"k"}, opt);
@@ -689,9 +689,9 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
     }
     ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
   }
-  BaseIndex::Options kiss;
+  TreeOptions kiss;
   kiss.kiss_root_bits = 20;
-  BaseIndex::Options prefix = kiss;
+  TreeOptions prefix = kiss;
   prefix.prefer_kiss = false;
   ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {"g"}, kiss).ok());
   ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {"g"}, prefix).ok());
@@ -857,9 +857,9 @@ TEST(InListTest, DuplicatePointsSelectRowsOnce) {
     }
     ASSERT_TRUE(db.AddTable(std::move(sales)).ok());
   }
-  BaseIndex::Options kiss;
+  TreeOptions kiss;
   kiss.kiss_root_bits = 20;
-  BaseIndex::Options prefix = kiss;
+  TreeOptions prefix = kiss;
   prefix.prefer_kiss = false;
   for (const auto& [suffix, opt] :
        {std::pair{"_kiss", kiss}, std::pair{"_prefix", prefix}}) {
@@ -975,7 +975,7 @@ class DoubleResidualTest : public ::testing::Test {
     }
     ASSERT_TRUE(db_.AddTable(std::move(items)).ok());
     ASSERT_TRUE(db_.AddTable(std::move(groups)).ok());
-    BaseIndex::Options opt;
+    TreeOptions opt;
     opt.kiss_root_bits = 16;
     // The residual reads price from the index payload in one index and
     // from the base table in the other.
@@ -1080,7 +1080,7 @@ TEST(PhaseTimesTest, MaterializeExcludesTheFold) {
     }
     ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
   }
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 20;
   ASSERT_TRUE(db.BuildIndex("fact_k", "fact", {"k"}, {"g"}, opt).ok());
   ASSERT_TRUE(db.BuildIndex("fact_g", "fact", {"g"}, {"k"}, opt).ok());

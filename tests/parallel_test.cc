@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -121,113 +122,181 @@ TEST(PartitionKissRangeTest, ClampedSpanOverload) {
   EXPECT_TRUE(PartitionKissRange(tree, 20000, 30000, 4).empty());
 }
 
-// ---- pair partitioning (parallel prefix-tree star join) --------------------
+// ---- pair frontier (parallel prefix-tree star join) -------------------------
 
-TEST(FindPairScanLevelTest, EdgeCases) {
-  // Either side empty: no slots.
-  PrefixTree empty({.key_len = 4, .kprime = 4});
-  PrefixTree other({.key_len = 4, .kprime = 4});
-  KeyBuf buf;
-  buf.AppendU32(42);
-  other.Insert(buf.data(), 1);
-  EXPECT_TRUE(FindPairScanLevel(empty, other).slots.empty());
-  EXPECT_TRUE(FindPairScanLevel(other, empty).slots.empty());
-
-  // Populated but disjoint root slots: both trees have keys, yet no slot
-  // is used by both — the scan would visit nothing, so no slots either.
-  PrefixTree lo({.key_len = 4, .kprime = 4});
-  PrefixTree hi({.key_len = 4, .kprime = 4});
-  buf.clear();
-  buf.AppendU32(0x10000000);  // top fragment 1
-  lo.Insert(buf.data(), 1);
-  buf.clear();
-  buf.AppendU32(0xA0000000);  // top fragment 10
-  hi.Insert(buf.data(), 2);
-  EXPECT_TRUE(FindPairScanLevel(lo, hi).slots.empty());
-
-  // Keys with a shared top fragment: the level descends past the shared
-  // chain and still exposes parallelism (the old root-slot split would
-  // have collapsed to one span).
-  PrefixTree a({.key_len = 4, .kprime = 4});
-  PrefixTree b({.key_len = 4, .kprime = 4});
-  for (uint32_t k = 0; k < 200; ++k) {
-    buf.clear();
-    buf.AppendU32(k);  // all under top fragment 0 — and several more
-    a.Insert(buf.data(), k);
-    if (k % 2 == 0) b.Insert(buf.data(), k);
-  }
-  auto level = FindPairScanLevel(a, b);
-  EXPECT_GT(level.slots.size(), 1u) << "shared-prefix chain not descended";
-  EXPECT_GT(level.bit_off, 0u);
-
-  // All duplicates under ONE key on both sides: the chain bottoms out at
-  // a single content pair — exactly one unit of work, no split possible.
-  PrefixTree dup_l({.key_len = 4, .kprime = 4});
-  PrefixTree dup_r({.key_len = 4, .kprime = 4});
-  buf.clear();
-  buf.AppendU32(777);
-  for (uint64_t v = 0; v < 50; ++v) {
-    dup_l.Insert(buf.data(), v);
-    dup_r.Insert(buf.data(), 100 + v);
-  }
-  auto dup_level = FindPairScanLevel(dup_l, dup_r);
-  ASSERT_EQ(dup_level.slots.size(), 1u);
-  size_t pairs = 0;
-  SynchronousScanPairSlots(dup_l, dup_r, dup_level, 0, 1,
-                           [&](const uint8_t*, const ValueList* lv,
-                               const ValueList* rv) {
-                             pairs += lv->size() * rv->size();
-                           });
-  EXPECT_EQ(pairs, 50u * 50u);
+KeyBuf I64Key(int64_t v) {
+  KeyBuf k;
+  k.AppendI64(v);
+  return k;
 }
 
-TEST(FindPairScanLevelTest, SlicedScanMatchesIntersection) {
-  PrefixTree left({.key_len = 4, .kprime = 4});
-  PrefixTree right({.key_len = 4, .kprime = 4});
-  Rng rng(23);
-  std::set<uint32_t> lkeys, rkeys;
-  KeyBuf buf;
-  for (int i = 0; i < 4000; ++i) {
-    uint32_t k = rng.Next32() % 100000;
-    buf.clear();
-    buf.AppendU32(k);
-    left.Insert(buf.data(), 1);
-    lkeys.insert(k);
-    k = rng.Next32() % 100000;
-    buf.clear();
-    buf.AppendU32(k);
-    right.Insert(buf.data(), 1);
-    rkeys.insert(k);
+// Inserts each key once as an 8-byte int64 key, the SSB join-key shape.
+void InsertAll(PrefixTree* tree, const std::set<int64_t>& keys) {
+  for (int64_t k : keys) tree->Insert(I64Key(k).data(), 1);
+}
+
+// Scans `frontier` in `slices` even slices and returns the keys met,
+// checking that they ascend within each slice.
+std::vector<int64_t> ScanSlices(const PrefixTree& left,
+                                const PrefixTree& right,
+                                const std::vector<PairSlot>& frontier,
+                                size_t slices) {
+  std::vector<int64_t> got;
+  for (const auto& [begin, end] : SplitEvenly(frontier.size(), slices)) {
+    bool first = true;
+    int64_t last = 0;
+    SynchronousScanPairSlots(
+        left, right,
+        std::span<const PairSlot>(frontier).subspan(begin, end - begin),
+        [&](const uint8_t* key, const ValueList*, const ValueList*) {
+          int64_t k = DecodeI64(key);
+          if (!first) {
+            EXPECT_GT(k, last) << slices << " slices";
+          }
+          first = false;
+          last = k;
+          got.push_back(k);
+        });
   }
-  std::vector<uint32_t> expected;
-  std::set_intersection(lkeys.begin(), lkeys.end(), rkeys.begin(),
-                        rkeys.end(), std::back_inserter(expected));
-  auto level = FindPairScanLevel(left, right);
-  ASSERT_GT(level.slots.size(), 1u);
-  for (size_t slices : {1, 2, 3, 7}) {
-    // Chop the slot list into `slices` chunks; scanning every chunk must
-    // visit exactly the key intersection once, in order within a chunk.
-    size_t n = level.slots.size();
-    std::vector<uint32_t> got;
-    for (size_t s = 0; s < slices; ++s) {
-      size_t begin = n * s / slices;
-      size_t end = n * (s + 1) / slices;
-      uint32_t last = 0;
-      bool first = true;
-      SynchronousScanPairSlots(
-          left, right, level, begin, end,
-          [&](const uint8_t* key, const ValueList*, const ValueList*) {
-            uint32_t k = DecodeU32(key);
-            if (!first) {
-              EXPECT_GT(k, last);
-            }
-            first = false;
-            last = k;
-            got.push_back(k);
-          });
+  return got;
+}
+
+std::vector<int64_t> Intersect(const std::set<int64_t>& a,
+                               const std::set<int64_t>& b) {
+  std::vector<int64_t> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
+}
+
+TEST(PairFrontierTest, EmptyAndDisjointTreesGiveNoPairs) {
+  PrefixTree empty({.key_len = 8, .kprime = 4});
+  PrefixTree other({.key_len = 8, .kprime = 4});
+  InsertAll(&other, {42});
+  for (size_t target : {1, 128}) {
+    EXPECT_TRUE(FindPairFrontier(empty, other, target).empty());
+    EXPECT_TRUE(FindPairFrontier(other, empty, target).empty());
+  }
+  // Both trees hold keys, but no slot is used by both: at the root for
+  // keys of opposite sign, below the shared chain for 1..100 against
+  // 1000..1100, and at full depth for even against odd keys. A small
+  // target stops above the level where the trees part; a target larger
+  // than any level's joint pairs expands until no pair is left.
+  auto disjoint = [](const std::set<int64_t>& a, const std::set<int64_t>& b) {
+    PrefixTree left({.key_len = 8, .kprime = 4});
+    PrefixTree right({.key_len = 8, .kprime = 4});
+    InsertAll(&left, a);
+    InsertAll(&right, b);
+    for (size_t target : {1, 4, 128, 1024}) {
+      auto frontier = FindPairFrontier(left, right, target);
+      EXPECT_TRUE(ScanSlices(left, right, frontier, 4).empty()) << target;
+      if (target == 1024) {
+        EXPECT_TRUE(frontier.empty());
+      }
     }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected) << slices;
+  };
+  disjoint({-5, -3}, {3, 5});
+  std::set<int64_t> low, high, even, odd;
+  for (int64_t k = 1; k <= 100; ++k) low.insert(k);
+  for (int64_t k = 1000; k <= 1100; ++k) high.insert(k);
+  for (int64_t k = 0; k < 400; ++k) (k % 2 == 0 ? even : odd).insert(k);
+  disjoint(low, high);
+  disjoint(even, odd);
+}
+
+TEST(PairFrontierTest, DuplicatesUnderOneKeyAreOneContentPair) {
+  // Each tree holds one key, in a content node in its root: one unit of
+  // work, whatever the target.
+  PrefixTree left({.key_len = 8, .kprime = 4});
+  PrefixTree right({.key_len = 8, .kprime = 4});
+  for (uint64_t v = 0; v < 50; ++v) {
+    left.Insert(I64Key(777).data(), v);
+    right.Insert(I64Key(777).data(), 100 + v);
+  }
+  for (size_t target : {1, 128}) {
+    auto frontier = FindPairFrontier(left, right, target);
+    ASSERT_EQ(frontier.size(), 1u);
+    EXPECT_TRUE(PrefixTree::IsContent(frontier[0].left));
+    EXPECT_TRUE(PrefixTree::IsContent(frontier[0].right));
+    size_t pairs = 0;
+    SynchronousScanPairSlots(left, right, frontier,
+                             [&](const uint8_t*, const ValueList* lv,
+                                 const ValueList* rv) {
+                               pairs += lv->size() * rv->size();
+                             });
+    EXPECT_EQ(pairs, 50u * 50u);
+  }
+}
+
+TEST(PairFrontierTest, HoldsTargetPairsAndSlicesScanTheIntersection) {
+  Rng rng(23);
+  for (int64_t span : {int64_t{20000}, int64_t{1} << 40}) {
+    std::set<int64_t> lkeys, rkeys;
+    for (int i = 0; i < 4000; ++i) {
+      const auto draw = [&] {
+        return static_cast<int64_t>(rng.Next() % static_cast<uint64_t>(span)) -
+               span / 2;
+      };
+      lkeys.insert(draw());
+      rkeys.insert(draw());
+    }
+    if (span > 20000) {
+      // Sparse keys barely meet: share every tenth left key.
+      size_t i = 0;
+      for (int64_t k : lkeys) {
+        if (i++ % 10 == 0) rkeys.insert(k);
+      }
+    }
+    PrefixTree left({.key_len = 8, .kprime = 4});
+    PrefixTree right({.key_len = 8, .kprime = 4});
+    InsertAll(&left, lkeys);
+    InsertAll(&right, rkeys);
+    const std::vector<int64_t> expected = Intersect(lkeys, rkeys);
+    ASSERT_GT(expected.size(), 300u);
+    for (size_t target : {1, 4, 16, 128, 1024}) {
+      auto frontier = FindPairFrontier(left, right, target);
+      EXPECT_GE(frontier.size(), std::min(target, expected.size()))
+          << "span " << span << ", target " << target;
+      for (size_t slices : {size_t{1}, size_t{3}, target}) {
+        std::vector<int64_t> got = ScanSlices(left, right, frontier, slices);
+        // Ascending within each slice, and slices in key order.
+        EXPECT_EQ(got, expected)
+            << "span " << span << ", target " << target << ", " << slices
+            << " slices";
+      }
+    }
+  }
+}
+
+TEST(PairFrontierTest, ContentNodeAboveTheBranchingLevel) {
+  // The right tree's few keys sit in content nodes where they diverge,
+  // levels above the full depth, against full subtrees on the left.
+  std::set<int64_t> lkeys;
+  for (int64_t k = 0; k < 10000; ++k) lkeys.insert(k);
+  for (const std::set<int64_t>& rkeys :
+       {std::set<int64_t>{77}, std::set<int64_t>{77, 5000, 123456},
+        std::set<int64_t>{-1, 9999}}) {
+    PrefixTree left({.key_len = 8, .kprime = 4});
+    PrefixTree right({.key_len = 8, .kprime = 4});
+    InsertAll(&left, lkeys);
+    InsertAll(&right, rkeys);
+    const std::vector<int64_t> expected = Intersect(lkeys, rkeys);
+    for (size_t target : {1, 4, 128}) {
+      auto frontier = FindPairFrontier(left, right, target);
+      EXPECT_LE(frontier.size(), rkeys.size());
+      if (target == 128) {
+        // Expanded as far as it goes: every pair stopped at a content node.
+        for (const PairSlot& p : frontier) {
+          EXPECT_TRUE(PrefixTree::IsContent(p.right));
+        }
+      }
+      for (size_t slices : {1, 2}) {
+        EXPECT_EQ(ScanSlices(left, right, frontier, slices), expected);
+        // The same frontier mirrored: content on the left.
+        auto mirrored = FindPairFrontier(right, left, target);
+        EXPECT_EQ(ScanSlices(right, left, mirrored, slices), expected);
+      }
+    }
   }
 }
 

@@ -26,7 +26,7 @@ std::unique_ptr<Database> MakeDb() {
     table->AppendRow(row);
   }
   EXPECT_TRUE(db.AddTable(std::move(table)).ok());
-  BaseIndex::Options opt;
+  TreeOptions opt;
   opt.kiss_root_bits = 16;
   EXPECT_TRUE(
       db.BuildIndex("items_by_id", "items", {"id"}, {"color", "score"}, opt)

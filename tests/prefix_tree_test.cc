@@ -223,6 +223,164 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.kprime);
     });
 
+// ---- the top: point descents start below the shared key prefix --------------
+
+struct TopParam {
+  size_t key_len;
+  size_t kprime;
+  // Keys that diverge from 1..200 ever higher, the last one at the root.
+  std::vector<int64_t> higher;
+};
+
+class PrefixTreeTop : public ::testing::TestWithParam<TopParam> {
+ protected:
+  // The last key_len bytes of v's order-preserving int64 encoding.
+  std::vector<uint8_t> Key(int64_t v) const {
+    KeyBuf k;
+    k.AppendI64(v);
+    return std::vector<uint8_t>(k.data() + 8 - GetParam().key_len,
+                                k.data() + 8);
+  }
+
+  // 1..200, then the ever-higher keys.
+  std::vector<int64_t> Order() const {
+    std::vector<int64_t> order;
+    for (int64_t k = 1; k <= 200; ++k) order.push_back(k);
+    for (int64_t k : GetParam().higher) order.push_back(k);
+    return order;
+  }
+
+  // Absent keys: some share the prefix of 1..200 (0, 201, 2^20 - 1) or
+  // of a higher key (h + 1), and -2 and -200 differ from every positive
+  // key in the first byte.
+  std::vector<int64_t> Absent() const {
+    std::vector<int64_t> absent{0, 201, 250, 256, 4095, (1 << 20) - 1, -2,
+                                -200};
+    for (int64_t h : GetParam().higher) {
+      if (h > 0) absent.push_back(h + 1);
+    }
+    return absent;
+  }
+
+  // Present keys answer with their value and absent ones miss, through
+  // Find, Lookup and BatchLookup.
+  void ExpectAnswers(const PrefixTree& tree,
+                     const std::vector<int64_t>& present,
+                     const std::vector<int64_t>& absent) const {
+    std::vector<std::vector<uint8_t>> keys;
+    for (int64_t k : present) keys.push_back(Key(k));
+    for (int64_t k : absent) keys.push_back(Key(k));
+    std::vector<PrefixTree::LookupJob> jobs(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) jobs[i].key = keys[i].data();
+    tree.BatchLookup(jobs);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const bool is_present = i < present.size();
+      const int64_t k = is_present ? present[i] : absent[i - present.size()];
+      const PrefixTree::ContentNode* c = tree.Find(keys[i].data());
+      const ValueList* v = tree.Lookup(keys[i].data());
+      if (is_present) {
+        ASSERT_NE(c, nullptr) << k;
+        ASSERT_NE(v, nullptr) << k;
+        ASSERT_EQ(jobs[i].result, c) << k;
+        EXPECT_EQ(v->first(), static_cast<uint64_t>(k)) << k;
+        EXPECT_EQ(std::memcmp(c->key(), keys[i].data(), keys[i].size()), 0);
+      } else {
+        EXPECT_EQ(c, nullptr) << k;
+        EXPECT_EQ(v, nullptr) << k;
+        EXPECT_EQ(jobs[i].result, nullptr) << k;
+      }
+    }
+  }
+
+  PrefixTree::Config Values() const {
+    return {.key_len = GetParam().key_len, .kprime = GetParam().kprime};
+  }
+};
+
+TEST_P(PrefixTreeTop, EmptyOneKeyAndSecondKeyTrees) {
+  PrefixTree tree(Values());
+  ExpectAnswers(tree, {}, {1, 2, 0, -2});
+  // One key: its content node sits in the root.
+  tree.Insert(Key(1).data(), 1);
+  ExpectAnswers(tree, {1}, {0, 2, 3, 200, -2});
+  // The second key shares all but the last bits with the first; dynamic
+  // expansion builds the chain down to the node where the two diverge.
+  tree.Insert(Key(2).data(), 2);
+  ExpectAnswers(tree, {1, 2}, {0, 3, 17, 1 << 20, -1, -2});
+  EXPECT_EQ(tree.num_keys(), 2u);
+}
+
+TEST_P(PrefixTreeTop, KeysDivergingEverHigherStayFound) {
+  PrefixTree tree(Values());
+  const std::vector<int64_t> order = Order();
+  const std::vector<int64_t> absent = Absent();
+  std::vector<int64_t> present;
+  for (int64_t k : order) {
+    tree.Insert(Key(k).data(), static_cast<uint64_t>(k));
+    present.push_back(k);
+    ExpectAnswers(tree, present, absent);
+  }
+  EXPECT_EQ(tree.num_keys(), order.size());
+  // A scan from the root still sees the keys in encoded order.
+  std::vector<std::vector<uint8_t>> sorted;
+  for (int64_t k : order) sorted.push_back(Key(k));
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::vector<uint8_t>> scanned;
+  tree.ScanAll([&](const PrefixTree::ContentNode& c) {
+    scanned.emplace_back(c.key(), c.key() + GetParam().key_len);
+  });
+  EXPECT_EQ(scanned, sorted);
+}
+
+TEST_P(PrefixTreeTop, FindOrCreateGroupAndUpsertFollowTheTop) {
+  PrefixTree groups({.key_len = GetParam().key_len,
+                     .kprime = GetParam().kprime,
+                     .mode = PrefixTree::PayloadMode::kAggregate,
+                     .agg_payload_size = 8});
+  PrefixTree upserts(Values());
+  const std::vector<int64_t> order = Order();
+  std::vector<PrefixTree::ContentNode*> nodes;
+  for (size_t i = 0; i < order.size(); ++i) {
+    std::vector<uint8_t> key = Key(order[i]);
+    bool created = false;
+    nodes.push_back(groups.FindOrCreateGroup(key.data(), &created));
+    EXPECT_TRUE(created) << order[i];
+    upserts.Upsert(key.data(), i);
+    // Every earlier group is found, not created again, and folds; every
+    // earlier upsert replaces its key's value.
+    for (size_t j = 0; j <= i; ++j) {
+      std::vector<uint8_t> kj = Key(order[j]);
+      ASSERT_EQ(groups.FindOrCreateGroup(kj.data(), &created), nodes[j])
+          << order[j] << " after " << order[i];
+      EXPECT_FALSE(created);
+      *reinterpret_cast<int64_t*>(groups.MutablePayloadOf(nodes[j])) += 1;
+      upserts.Upsert(kj.data(), i);
+      const ValueList* v = upserts.Lookup(kj.data());
+      ASSERT_NE(v, nullptr) << order[j];
+      EXPECT_EQ(v->size(), 1u);
+      EXPECT_EQ(v->first(), i);
+    }
+    EXPECT_EQ(groups.num_keys(), i + 1);
+    EXPECT_EQ(upserts.num_keys(), i + 1);
+  }
+  for (size_t j = 0; j < order.size(); ++j) {
+    EXPECT_EQ(*reinterpret_cast<const int64_t*>(groups.PayloadOf(nodes[j])),
+              static_cast<int64_t>(order.size() - j));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PrefixTreeTop,
+    ::testing::Values(
+        // int64 keys at k' 4: 1..200 diverge in the last two nibbles.
+        TopParam{8, 4, {int64_t{1} << 20, int64_t{1} << 40, -1}},
+        // An odd shape: 5-byte keys at k' 3, the last fragment 1 bit.
+        TopParam{5, 3, {int64_t{1} << 20, int64_t{1} << 32, -1}}),
+    [](const ::testing::TestParamInfo<TopParam>& info) {
+      return "len" + std::to_string(info.param.key_len) + "_k" +
+             std::to_string(info.param.kprime);
+    });
+
 // ---- dense sequential keys (the Fig. 3 workload shape) --------------------------
 
 TEST(PrefixTreeTest, DenseSequentialKeys) {

@@ -1,7 +1,7 @@
 // Parallel star join across index families (ISSUE 4).
 //
 // The star join's synchronous scan now has three main-pair shapes —
-// KISS x KISS, prefix x prefix (branching-level pair morsels), and the
+// KISS x KISS, prefix x prefix (subtree-pair frontier morsels), and the
 // mixed KISS x prefix batched-probe path — and all of them must produce
 // results identical to the serial reference, across worker counts, on
 // real SSB plans. The index families are steered two ways:
@@ -17,7 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "core/indexed_table.h"
+#include "core/operators/star_join.h"
+#include "core/plan.h"
 #include "core/query/query_spec.h"
+#include "engine/scheduler.h"
 #include "engine/session.h"
 #include "ssb/queries_qppt.h"
 
@@ -256,6 +260,54 @@ TEST_F(StarJoinParallelTest, AggregatedMergeMatchesSerialOnFactAggregation) {
         << shape.name << " aggregated output stayed serial:\n"
         << stats.ToString();
   }
+}
+
+// A prefix x prefix star join forks one morsel per slice of its subtree-
+// pair frontier, expanded below the shared key prefix: with more joint
+// keys than morsel_target(), 4 workers fork morsel_target() morsels, far
+// more than the 2^k' = 16 slots of one level.
+TEST(StarJoinFrontierTest, PrefixMainsForkMorselTargetMorsels) {
+  constexpr int64_t kKeys = 6000;  // above kMinParallelInputTuples
+  auto make_side = [](const char* value_col, int64_t step) {
+    Schema schema({{"k", ValueType::kInt64, nullptr},
+                   {value_col, ValueType::kInt64, nullptr}});
+    TreeOptions opt;
+    opt.prefer_kiss = false;
+    auto table = IndexedTable::Create(schema, {"k"}, opt);
+    EXPECT_TRUE(table.ok());
+    for (int64_t i = 0; i < kKeys; ++i) {
+      uint64_t row[2] = {SlotFromInt64(i * step), SlotFromInt64(i)};
+      (*table)->Insert(row);
+    }
+    return std::move(table).value();
+  };
+  engine::WorkerPool pool(4);
+  Database db;
+  ExecContext ctx(&db, PlanKnobs{});
+  ctx.set_worker_pool(&pool);
+  ASSERT_TRUE(ctx.Put("l", make_side("lv", 1)).ok());
+  ASSERT_TRUE(ctx.Put("r", make_side("rv", 2)).ok());
+  StarJoinSpec join;
+  join.left = SideRef::Slot("l");
+  join.left_columns = {"k", "lv"};
+  join.right = SideRef::Slot("r");
+  join.right_columns = {"rv"};
+  join.output = {"result", {"k"}, {}};
+  Plan plan;
+  plan.Emplace<StarJoinOp>(join);
+  plan.set_result_slot("result");
+  auto result = plan.Execute(&ctx);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // The even keys below kKeys meet, each once: k = 2i joins lv = 2i, rv = i.
+  ASSERT_EQ(result->rows.size(), static_cast<size_t>(kKeys / 2));
+  for (size_t i = 0; i < result->rows.size(); ++i) {
+    const int64_t k = static_cast<int64_t>(2 * i);
+    ASSERT_EQ(result->rows[i][0], Value::Int(k));
+    ASSERT_EQ(result->rows[i][1], Value::Int(k));
+    ASSERT_EQ(result->rows[i][2], Value::Int(k / 2));
+  }
+  const OperatorStats& stats = ctx.stats()->operators.back();
+  EXPECT_EQ(stats.morsels, pool.morsel_target()) << stats.name;
 }
 
 }  // namespace
