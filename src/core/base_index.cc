@@ -137,7 +137,6 @@ Status BaseIndex::Init(const RowTable* table, const Rid* rids, size_t n,
   if (key_names_.empty()) {
     return Status::InvalidArgument("base index needs at least one key column");
   }
-  QPPT_RETURN_NOT_OK(CheckTreeShape(options));
   if (key_names_.size() > KeyBuf::kCapacity / 8) {
     return Status::InvalidArgument(
         "base index takes at most " + std::to_string(KeyBuf::kCapacity / 8) +
@@ -160,14 +159,11 @@ Status BaseIndex::Init(const RowTable* table, const Rid* rids, size_t n,
   }
   if (options.prefer_kiss && KissEligible(key_types_)) {
     kind_ = Kind::kKiss;
-    KissTree::Config cfg;
-    cfg.root_bits = options.kiss_root_bits;
-    kiss_ = std::make_unique<KissTree>(cfg);
+    kiss_ = std::make_unique<KissTree>();
   } else {
     kind_ = Kind::kPrefix;
     PrefixTree::Config cfg;
     cfg.key_len = key_cols_.size() * 8;
-    cfg.kprime = options.kprime;
     cfg.mode = PrefixTree::PayloadMode::kValues;
     prefix_ = std::make_unique<PrefixTree>(cfg);
   }

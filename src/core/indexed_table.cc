@@ -54,22 +54,6 @@ constexpr size_t kInitialGroupSlots = 64;
 
 }  // namespace
 
-Status CheckTreeShape(const TreeOptions& options) {
-  const size_t kprime = options.kprime;
-  const size_t kiss_root_bits = options.kiss_root_bits;
-  if (kprime >= 1 && kprime <= PrefixTree::kMaxKprime &&
-      kiss_root_bits >= KissTree::kMinRootBits &&
-      kiss_root_bits <= KissTree::kMaxRootBits) {
-    return Status::OK();
-  }
-  return Status::InvalidArgument(
-      "tree shape needs 1 <= kprime <= " +
-      std::to_string(PrefixTree::kMaxKprime) + " and " +
-      std::to_string(KissTree::kMinRootBits) + " <= kiss_root_bits <= " +
-      std::to_string(KissTree::kMaxRootBits) + ", got " +
-      std::to_string(kprime) + " and " + std::to_string(kiss_root_bits));
-}
-
 Result<std::unique_ptr<IndexedTable>> IndexedTable::Create(
     Schema schema, std::vector<std::string> key_columns, TreeOptions options) {
   auto table = std::unique_ptr<IndexedTable>(new IndexedTable());
@@ -109,7 +93,6 @@ Status IndexedTable::Init(Schema schema,
   if (key_columns.empty()) {
     return Status::InvalidArgument("indexed table needs at least one key column");
   }
-  QPPT_RETURN_NOT_OK(CheckTreeShape(options));
   if (key_columns.size() > KeyBuf::kCapacity / 8) {
     return Status::InvalidArgument(
         "indexed table takes at most " +
@@ -134,14 +117,11 @@ Status IndexedTable::Init(Schema schema,
   }
   if (agg_.empty() && options.prefer_kiss && KissEligible(key_types_)) {
     kind_ = Kind::kKiss;
-    KissTree::Config cfg;
-    cfg.root_bits = options.kiss_root_bits;
-    kiss_ = std::make_unique<KissTree>(cfg);
+    kiss_ = std::make_unique<KissTree>();
   } else {
     kind_ = Kind::kPrefix;
     PrefixTree::Config cfg;
     cfg.key_len = encoded_key_len();
-    cfg.kprime = options.kprime;
     if (!agg_.empty()) {
       cfg.mode = PrefixTree::PayloadMode::kAggregate;
       cfg.agg_payload_size = bound_agg_.payload_size();

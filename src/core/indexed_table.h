@@ -50,21 +50,14 @@
 
 namespace qppt {
 
-// The shape of the trees an index is built on, for intermediate tables
+// The tree family an index is built on, for intermediate tables
 // (IndexedTable::Create, CreateAggregated) and base indexes (every
-// BaseIndex build) alike. Each build checks it with CheckTreeShape.
+// BaseIndex build) alike. The trees' shape is not an option: every index
+// takes the trees' default Config (KISS root bits 26, prefix k' = 4), so
+// any two mains of one family can be scanned synchronously (§4.2).
 struct TreeOptions {
-  size_t kprime = 4;           // prefix-tree fragment width
-  bool prefer_kiss = true;     // use the KISS-Tree when the key allows
-  size_t kiss_root_bits = 26;  // KISS-Tree level-1 fragment width
+  bool prefer_kiss = true;  // use the KISS-Tree when the key allows
 };
-
-// InvalidArgument unless 1 <= kprime <= PrefixTree::kMaxKprime and
-// KissTree::kMinRootBits <= kiss_root_bits <= KissTree::kMaxRootBits, the
-// tree shapes the constructors assert. IndexedTable and BaseIndex builds
-// return it, so a Release build rejects an unsupported shape instead of
-// hanging or crashing in the tree.
-Status CheckTreeShape(const TreeOptions& options);
 
 class IndexedTable {
  public:

@@ -26,9 +26,10 @@ struct ValuePair {
 };
 
 // The synchronous scans walk the two mains' trees in lock step, slot by
-// slot, so two prefix mains must share key width and k', and two KISS
-// mains their root width. A mixed pair scans the prefix side's keys and
-// probes the KISS side with them, so they must be single int64 keys.
+// slot. Every index takes the trees' default shape (TreeOptions), so two
+// KISS mains always match and two prefix mains must only share key
+// width. A mixed pair scans the prefix side's keys and probes the KISS
+// side with them, so they must be single int64 keys.
 Status CheckSameShape(const BoundSide& left, const BoundSide& right) {
   if (left.is_kiss() != right.is_kiss()) {
     const PrefixTree& p = left.is_kiss() ? *right.prefix() : *left.prefix();
@@ -37,26 +38,13 @@ Status CheckSameShape(const BoundSide& left, const BoundSide& right) {
         "star join with mixed KISS/prefix mains requires the prefix main "
         "to be keyed on the single shared integer join attribute");
   }
-  if (left.is_kiss()) {
-    const size_t lbits = 32 - left.kiss()->level2_bits();
-    const size_t rbits = 32 - right.kiss()->level2_bits();
-    if (lbits == rbits) return Status::OK();
-    return Status::InvalidArgument(
-        "star join mains differ in KISS-Tree shape: root bits " +
-        std::to_string(lbits) + " vs " + std::to_string(rbits));
-  }
-  const PrefixTree& lp = *left.prefix();
-  const PrefixTree& rp = *right.prefix();
-  if (lp.key_len() == rp.key_len() &&
-      lp.config().kprime == rp.config().kprime) {
-    return Status::OK();
-  }
+  if (left.is_kiss()) return Status::OK();
+  const size_t llen = left.prefix()->key_len();
+  const size_t rlen = right.prefix()->key_len();
+  if (llen == rlen) return Status::OK();
   return Status::InvalidArgument(
-      "star join mains differ in prefix-tree shape: key_len " +
-      std::to_string(lp.key_len()) + " k' " +
-      std::to_string(lp.config().kprime) + " vs key_len " +
-      std::to_string(rp.key_len()) + " k' " +
-      std::to_string(rp.config().kprime));
+      "star join mains differ in prefix-tree key width: key_len " +
+      std::to_string(llen) + " vs " + std::to_string(rlen));
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ struct PlanKnobs {
   // gives up with ResourceExhausted. Negative = use the engine's
   // configured default (EngineConfig::admission_timeout_ms).
   double queue_timeout_ms = -1;
-  // Index construction parameters for intermediate tables.
+  // The tree family of intermediate tables.
   TreeOptions table_options;
 };
 

@@ -49,11 +49,6 @@ Result<std::string> CacheKey(const PlanKnobs& knobs,
 
 }  // namespace
 
-size_t PreparedQuery::plans_cached() const {
-  dbg::RankedLockGuard lock(dbg::LockRank::kPlanCache, state_->mu);
-  return state_->plans.size();
-}
-
 Result<std::shared_ptr<const Plan>> PreparedQuery::GetPlan(
     const PlanKnobs& knobs, const query::QueryParams& params) const {
   QPPT_ASSIGN_OR_RETURN(const std::string key, CacheKey(knobs, params));

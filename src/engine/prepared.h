@@ -48,7 +48,6 @@ class PreparedQuery {
     // relaxed: statistics counter; no ordering needed.
     return state_->misses.load(std::memory_order_relaxed);
   }
-  size_t plans_cached() const;
 
  private:
   friend class EngineRunner;

@@ -8,7 +8,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -147,9 +146,7 @@ void AnswerKissPoints(const IndexedTable& table,
     ++*shared_scans;
     return;
   }
-  KissTree::Config cfg;
-  cfg.root_bits = data.config().root_bits;
-  KissTree probe(cfg);
+  KissTree probe(data.config());
   for (size_t i = 0; i < points.size(); ++i) {
     probe.Insert(KissKeyOf(SlotFromInt64(points[i]->lo)), i);
   }
@@ -232,21 +229,6 @@ EngineRunner::EngineRunner(EngineConfig config) : config_(config) {
     }
   });
   if (config_.threads == 0) config_.threads = 1;
-  // More morsel workers than hardware threads only adds context-switch
-  // overhead (the 1-vCPU oversubscription tax): clamp, and say so once
-  // per process so a misconfigured deployment is visible.
-  size_t hw = std::thread::hardware_concurrency();
-  if (config_.clamp_threads_to_hardware && hw > 0 && config_.threads > hw) {
-    static std::once_flag logged;
-    size_t requested = config_.threads;
-    std::call_once(logged, [&] {
-      std::fprintf(stderr,
-                   "qppt engine: clamping %zu workers to "
-                   "hardware_concurrency=%zu\n",
-                   requested, hw);
-    });
-    config_.threads = hw;
-  }
   if (config_.threads > 1) {
     pool_ = std::make_unique<WorkerPool>(config_.threads);
   }

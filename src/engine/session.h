@@ -41,14 +41,10 @@ namespace qppt::engine {
 class WorkerPool;
 
 struct EngineConfig {
-  // Morsel workers. 1 = serial execution (no pool); the default uses
-  // every hardware thread. Values above hardware_concurrency() are
-  // clamped by the runner (logged once) — oversubscribing a fixed morsel
-  // pool only buys context-switch overhead.
+  // Morsel workers. 1 = serial execution (no pool; 0 counts as 1); the
+  // default uses every hardware thread. Any other value is used as
+  // given, also above hardware_concurrency().
   size_t threads = std::thread::hardware_concurrency();
-  // Opt-out for the clamp above: tests (and the TSan CI job) deliberately
-  // oversubscribe tiny machines to shake out interleavings.
-  bool clamp_threads_to_hardware = true;
   // Shared-read batching: a leader flushes once `read_batch_max` requests
   // are pending or `read_batch_window_us` elapsed, whichever is first.
   size_t read_batch_max = 64;

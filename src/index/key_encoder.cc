@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 namespace qppt {
 
@@ -16,17 +15,6 @@ double DecodeDouble(const uint8_t* p) {
   double d;
   std::memcpy(&d, &bits, sizeof(d));
   return d;
-}
-
-std::string KeyToHex(const uint8_t* key, size_t len) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(len * 2);
-  for (size_t i = 0; i < len; ++i) {
-    out.push_back(kHex[key[i] >> 4]);
-    out.push_back(kHex[key[i] & 0xf]);
-  }
-  return out;
 }
 
 }  // namespace qppt

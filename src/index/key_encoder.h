@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 #include "storage/value.h"
 
@@ -106,9 +105,6 @@ inline uint32_t KissKeyOf(uint64_t slot) {
 inline int CompareKeys(const uint8_t* a, const uint8_t* b, size_t len) {
   return std::memcmp(a, b, len);
 }
-
-// Renders a key as hex for diagnostics.
-std::string KeyToHex(const uint8_t* key, size_t len);
 
 }  // namespace qppt
 

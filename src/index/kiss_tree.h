@@ -9,8 +9,9 @@
 //
 // The root array is 2^26 x 4 B = 256 MiB of *virtual* memory, mapped with
 // MAP_NORESERVE so physical 4 KiB pages materialize only when a pointer is
-// first written — the paper's on-demand allocation trick. root_bits is
-// configurable so tests can run tiny trees.
+// first written — the paper's on-demand allocation trick. Config::root_bits
+// lets the tree's own tests and benches build tiny trees; every index
+// (base or intermediate, core/indexed_table.h) takes the default 26.
 //
 // A level-2 node is a flat array of 2^(32-root_bits) 8-byte entries,
 // updated in place. QPPT runs its KISS-Trees without the original

@@ -159,11 +159,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-size_t MetricsRegistry::num_metrics() const {
-  dbg::RankedLockGuard lock(dbg::LockRank::kMetrics, mu_);
-  return entries_.size();
-}
-
 const MetricValue* MetricsSnapshot::Find(std::string_view name) const {
   for (const auto& m : metrics) {
     if (m.name == name) return &m;

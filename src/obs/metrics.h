@@ -179,7 +179,6 @@ class MetricsRegistry {
                           std::string_view help = "");
 
   MetricsSnapshot Snapshot() const;
-  size_t num_metrics() const;
 
   // The process-wide registry every engine component reports into. The
   // first call also arms the QPPT_METRICS_DUMP exit hook: when that env

@@ -32,13 +32,6 @@ void QueryTrace::Record(size_t lane, std::string_view label, SpanKind kind,
   span.t_end_us = t_end_us;
   span.worker = static_cast<uint32_t>(lane % lanes_.size());
   span.kind = kind;
-  ++l.count;
-}
-
-size_t QueryTrace::num_spans() const {
-  size_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.count;
-  return total;
 }
 
 namespace {

@@ -69,9 +69,6 @@ class QueryTrace {
   void Record(size_t lane, std::string_view label, SpanKind kind,
               double t_start_us, double t_end_us);
 
-  // Total spans recorded so far (all lanes).
-  size_t num_spans() const;
-
   // Invokes fn(const TraceSpan&) for every span, lane by lane. Call only
   // after execution quiesces (no concurrent Record).
   template <typename F>
@@ -98,7 +95,6 @@ class QueryTrace {
     Arena arena;
     Chunk* head = nullptr;
     Chunk* tail = nullptr;
-    size_t count = 0;
   };
 
   Clock::time_point epoch_;

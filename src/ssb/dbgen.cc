@@ -151,10 +151,7 @@ Status BuildLineorder(Database* db, bool versioned, size_t count,
 // every selection and join attribute the 13 queries touch (§3 — "created
 // once and remain in the data pool for future queries").
 Status BuildIndexes(Database* db, const SsbConfig& config) {
-  TreeOptions opt;
-  opt.kiss_root_bits = config.kiss_root_bits;
-  opt.kprime = config.kprime;
-  opt.prefer_kiss = config.prefer_kiss;
+  const TreeOptions opt{.prefer_kiss = config.prefer_kiss};
 
   // Fact-table indexes on the join keys used as the left main of the
   // multi-way/star joins, plus the Q1.x selection index on lo_discount.

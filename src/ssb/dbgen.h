@@ -30,10 +30,9 @@ namespace qppt::ssb {
 struct SsbConfig {
   double scale_factor = 0.1;
   uint64_t seed = 42;
-  size_t kiss_root_bits = 26;  // lower this for tiny test instances
-  size_t kprime = 4;
   // false builds the base-index pool with generalized prefix trees
-  // instead of KISS-Trees where both are eligible. Intermediates stay
+  // instead of KISS-Trees where both are eligible; either family takes
+  // the trees' default shape (TreeOptions). Intermediates stay
   // KISS-Trees under PlanKnobs' defaults, so every star join of a base
   // index with an intermediate then takes the mixed-family path; also set
   // PlanKnobs::table_options.prefer_kiss = false for all-prefix plans.

@@ -67,18 +67,6 @@ Result<int64_t> Dictionary::CodeOf(std::string_view s) const {
   return it->second;
 }
 
-int64_t Dictionary::LowerBoundCode(std::string_view s) const {
-  auto it = entries_.lower_bound(s);
-  if (it == entries_.end()) return static_cast<int64_t>(sorted_.size());
-  return it->second;
-}
-
-int64_t Dictionary::UpperBoundCode(std::string_view s) const {
-  auto it = entries_.upper_bound(s);
-  if (it == entries_.end()) return static_cast<int64_t>(sorted_.size());
-  return it->second;
-}
-
 const std::string& Dictionary::StringOf(int64_t code) const {
   return *sorted_[static_cast<size_t>(code)];
 }

@@ -88,12 +88,6 @@ class Dictionary {
   // Returns the code for `s`, or an error if absent. Requires sealed().
   Result<int64_t> CodeOf(std::string_view s) const;
 
-  // Code of the smallest dictionary entry >= s (size() if none).
-  // Used to translate string range predicates. Requires sealed().
-  int64_t LowerBoundCode(std::string_view s) const;
-  // Code of the smallest dictionary entry > s (size() if none).
-  int64_t UpperBoundCode(std::string_view s) const;
-
   // Returns the string for `code`. Requires sealed() and valid code.
   const std::string& StringOf(int64_t code) const;
 

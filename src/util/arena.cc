@@ -47,13 +47,6 @@ char* Arena::AllocateNewBlock(size_t min_size) {
   return data;
 }
 
-void Arena::Reset() {
-  blocks_.clear();
-  ptr_ = end_ = nullptr;
-  bytes_allocated_ = 0;
-  bytes_reserved_ = 0;
-}
-
 void* PageArena::Allocate(size_t size) {
   if (size == 0) size = 8;
   if (size > kPageSize) {

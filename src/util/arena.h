@@ -1,7 +1,7 @@
 // Bump-pointer arena allocators.
 //
 // Arena: general-purpose block allocator. All memory is freed when the arena
-// is destroyed (or Reset()); individual deallocation is not supported. This
+// is destroyed; individual deallocation is not supported. This
 // matches the lifetime of QPPT intermediate indexes, which live exactly as
 // long as the query that produced them.
 //
@@ -67,9 +67,6 @@ class Arena {
   size_t bytes_allocated() const { return bytes_allocated_; }
   // Total bytes reserved from the system (>= bytes_allocated()).
   size_t bytes_reserved() const { return bytes_reserved_; }
-
-  // Frees all blocks. Pointers previously returned become invalid.
-  void Reset();
 
  private:
   struct Block {

@@ -26,12 +26,6 @@ std::unique_ptr<RowTable> MakePartTable(size_t n) {
   return table;
 }
 
-TreeOptions SmallKiss() {
-  TreeOptions opt;
-  opt.kiss_root_bits = 20;
-  return opt;
-}
-
 // fn(value) for every value of the keys `predicate` selects.
 template <typename F>
 void ForEachSelected(const BaseIndex& index, const KeyPredicate& predicate,
@@ -42,7 +36,7 @@ void ForEachSelected(const BaseIndex& index, const KeyPredicate& predicate,
 
 TEST(BaseIndexTest, SecondaryIndexYieldsRids) {
   auto table = MakePartTable(1000);
-  auto index = BaseIndex::Build(table.get(), {"brand"}, {}, SmallKiss());
+  auto index = BaseIndex::Build(table.get(), {"brand"}, {});
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE((*index)->clustered());
   EXPECT_EQ((*index)->num_rows(), 1000u);
@@ -61,7 +55,7 @@ TEST(BaseIndexTest, SecondaryIndexYieldsRids) {
 TEST(BaseIndexTest, ClusteredIndexAvoidsTableAccess) {
   auto table = MakePartTable(1000);
   auto index =
-      BaseIndex::Build(table.get(), {"brand"}, {"partkey", "size"}, SmallKiss());
+      BaseIndex::Build(table.get(), {"brand"}, {"partkey", "size"});
   ASSERT_TRUE(index.ok());
   EXPECT_TRUE((*index)->clustered());
 
@@ -86,7 +80,7 @@ TEST(BaseIndexTest, ClusteredIndexAvoidsTableAccess) {
 
 TEST(BaseIndexTest, RidPseudoColumn) {
   auto table = MakePartTable(100);
-  auto index = BaseIndex::Build(table.get(), {"partkey"}, {}, SmallKiss());
+  auto index = BaseIndex::Build(table.get(), {"partkey"}, {});
   ASSERT_TRUE(index.ok());
   auto rid = (*index)->BindColumn("@rid");
   ASSERT_TRUE(rid.ok());
@@ -97,7 +91,7 @@ TEST(BaseIndexTest, RidPseudoColumn) {
 
 TEST(BaseIndexTest, RangeScan) {
   auto table = MakePartTable(500);
-  auto index = BaseIndex::Build(table.get(), {"partkey"}, {}, SmallKiss());
+  auto index = BaseIndex::Build(table.get(), {"partkey"}, {});
   ASSERT_TRUE(index.ok());
   size_t count = 0;
   ForEachSelected(**index, KeyPredicate::Range(100, 199),
@@ -151,10 +145,7 @@ TEST(BaseIndexTest, SnapshotIndexRespectsVisibility) {
   uint64_t row2[1] = {SlotFromInt64(2)};
   table.Insert(t2, row2);
 
-  TreeOptions opt;
-  opt.kiss_root_bits = 16;
-  auto index =
-      BaseIndex::BuildFromSnapshot(&table, tm.last_commit_ts(), {"k"}, {}, opt);
+  auto index = BaseIndex::BuildFromSnapshot(&table, tm.last_commit_ts(), {"k"});
   ASSERT_TRUE(index.ok());
   EXPECT_EQ((*index)->num_rows(), 1u);
 
@@ -162,7 +153,7 @@ TEST(BaseIndexTest, SnapshotIndexRespectsVisibility) {
   table.CommitTransaction(t2, ts2);
   tm.FinishCommit(t2, ts2);
   auto index2 =
-      BaseIndex::BuildFromSnapshot(&table, tm.last_commit_ts(), {"k"}, {}, opt);
+      BaseIndex::BuildFromSnapshot(&table, tm.last_commit_ts(), {"k"});
   ASSERT_TRUE(index2.ok());
   EXPECT_EQ((*index2)->num_rows(), 2u);
 }
@@ -337,8 +328,7 @@ std::vector<Rid> AllRids(const RowTable& table) {
 TEST(BaseIndexLayoutTest, KissKeysWithNegativeValues) {
   auto table = MakeMixedTable(5000);
   ExpectKeyOrderedLayout(*table, AllRids(*table), [&](auto included) {
-    auto index = BaseIndex::Build(table.get(), {"ik"}, std::move(included),
-                                  SmallKiss());
+    auto index = BaseIndex::Build(table.get(), {"ik"}, std::move(included));
     if (index.ok()) {
       EXPECT_EQ((*index)->kind(), BaseIndex::Kind::kKiss);
     }
@@ -366,8 +356,7 @@ TEST(BaseIndexLayoutTest, PrefixKeysWithNegativeAndDoubleValues) {
 TEST(BaseIndexLayoutTest, CompositePrefixKey) {
   auto table = MakeMixedTable(5000);
   ExpectKeyOrderedLayout(*table, AllRids(*table), [&](auto included) {
-    return BaseIndex::Build(table.get(), {"a", "dk", "b"},
-                            std::move(included), SmallKiss());
+    return BaseIndex::Build(table.get(), {"a", "dk", "b"}, std::move(included));
   });
 }
 
@@ -405,7 +394,7 @@ TEST(BaseIndexLayoutTest, SnapshotOverSubsetOfRids) {
     SCOPED_TRACE(column);
     ExpectKeyOrderedLayout(table.storage(), input, [&](auto included) {
       return BaseIndex::BuildFromSnapshot(&table, read_ts, {column},
-                                          std::move(included), SmallKiss());
+                                          std::move(included));
     });
   }
 }
@@ -419,28 +408,6 @@ TEST(BaseIndexTest, RejectsMoreKeyColumnsThanAKeyHolds) {
       BaseIndex::Build(table.get(), {"ik", "wide", "dk", "a"}, {}).ok());
 }
 
-// Tree shapes outside the trees' ranges hang or crash once asserts are
-// compiled out, so every build rejects them.
-TEST(BaseIndexTest, RejectsOutOfRangeTreeOptions) {
-  auto table = MakePartTable(100);
-  const std::pair<size_t, size_t> bad[] = {{0, 26}, {17, 26}, {4, 15}, {4, 27}};
-  for (auto [kprime, root_bits] : bad) {
-    TreeOptions opt;
-    opt.kprime = kprime;
-    opt.kiss_root_bits = root_bits;
-    for (bool prefer_kiss : {true, false}) {
-      opt.prefer_kiss = prefer_kiss;
-      auto index = BaseIndex::Build(table.get(), {"partkey"}, {}, opt);
-      EXPECT_TRUE(index.status().IsInvalidArgument())
-          << kprime << "/" << root_bits << ": " << index.status();
-    }
-  }
-  TreeOptions edge;
-  edge.kprime = 16;
-  edge.kiss_root_bits = 16;
-  EXPECT_TRUE(BaseIndex::Build(table.get(), {"partkey"}, {}, edge).ok());
-}
-
 // ---- Database -----------------------------------------------------------------
 
 TEST(DatabaseTest, TablesAndIndexes) {
@@ -452,11 +419,8 @@ TEST(DatabaseTest, TablesAndIndexes) {
   ASSERT_TRUE(db.table("part").ok());
   EXPECT_TRUE(db.table("nope").status().IsNotFound());
 
-  TreeOptions opt;
-  opt.kiss_root_bits = 20;
-  ASSERT_TRUE(db.BuildIndex("part_brand", "part", {"brand"}, {"partkey"}, opt)
-                  .ok());
-  EXPECT_EQ(db.BuildIndex("part_brand", "part", {"brand"}, {}, opt).code(),
+  ASSERT_TRUE(db.BuildIndex("part_brand", "part", {"brand"}, {"partkey"}).ok());
+  EXPECT_EQ(db.BuildIndex("part_brand", "part", {"brand"}).code(),
             StatusCode::kAlreadyExists);
   ASSERT_TRUE(db.index("part_brand").ok());
   EXPECT_TRUE(db.index("nope").status().IsNotFound());
@@ -476,14 +440,12 @@ TEST(DatabaseTest, BuildIndexRejectsVersionedTable) {
   uint64_t row[1] = {SlotFromInt64(5)};
   table->Insert(txn, row);
 
-  TreeOptions opt;
-  opt.kiss_root_bits = 16;
-  Status built = db.BuildIndex("t_k", "t", {"k"}, {}, opt);
+  Status built = db.BuildIndex("t_k", "t", {"k"});
   EXPECT_TRUE(built.IsInvalidArgument()) << built;
   EXPECT_NE(built.message().find("BuildLiveIndex"), std::string::npos);
   EXPECT_TRUE(db.index("t_k").status().IsNotFound());
 
-  ASSERT_TRUE(db.BuildLiveIndex("t_k", "t", {"k"}, opt).ok());
+  ASSERT_TRUE(db.BuildLiveIndex("t_k", "t", {"k"}).ok());
   EXPECT_NE(db.index("t_k").value()->mvcc(), nullptr);
 }
 

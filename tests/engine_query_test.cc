@@ -82,7 +82,6 @@ TEST_P(EngineQueryParam, ParallelEngineAgreesWithSerial) {
 
   engine::EngineConfig par_cfg;
   par_cfg.threads = 4;
-  par_cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner par_runner(par_cfg);
   PlanStats stats;
   auto engine_par = RunQppt(par_runner, *data_, id, knobs, &stats);
@@ -106,7 +105,6 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, EngineQueryParam,
 TEST_F(EngineQueryTest, HotQueriesRunMorselParallel) {
   engine::EngineConfig cfg;
   cfg.threads = 4;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
   for (const std::string id : {"1.1", "2.1", "3.1", "4.1"}) {
     PlanStats stats;
@@ -129,7 +127,6 @@ TEST_F(EngineQueryTest, ConcurrentClientsAgreeWithSerial) {
 
   engine::EngineConfig cfg;
   cfg.threads = 4;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
   constexpr size_t kClients = 4;
   std::atomic<int> failures{0};
@@ -172,7 +169,6 @@ TEST_F(EngineQueryTest, ConcurrentClientsAgreeWithSerial) {
 TEST_F(EngineQueryTest, ExpiredDeadlineReturnsPromptlyAndRunnerStaysHealthy) {
   engine::EngineConfig cfg;
   cfg.threads = 4;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
 
   PlanKnobs timed;
@@ -204,115 +200,11 @@ TEST_F(EngineQueryTest, ExpiredDeadlineReturnsPromptlyAndRunnerStaysHealthy) {
   }
 }
 
-// An out-of-range tree option is an error, not a hang: with kprime 0 an
-// aggregate output's prefix tree never advances past its first fragment
-// in a build without asserts.
-TEST_F(EngineQueryTest, OutOfRangeTableOptionsFailCleanly) {
-  engine::EngineConfig cfg;
-  cfg.threads = 2;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
-  engine::EngineRunner runner(cfg);
-  PlanKnobs knobs;
-  knobs.table_options.kprime = 0;
-  auto result = RunQppt(runner, *data_, "2.1", knobs);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
-  EXPECT_EQ(runner.queries_running(), 0u);
-  auto healthy = RunQppt(runner, *data_, "2.1", PlanKnobs{});
-  EXPECT_TRUE(healthy.ok()) << healthy.status();
-}
-
-// Star joins over mains of different tree shapes. The synchronous scans
-// walk the two mains' trees slot by slot, so prefix mains must share k'
-// and key width, and KISS mains their root bits: a mismatch is an
-// InvalidArgument at bind time, never wrong rows or a crash. Every query
-// of the flight either equals the column engine or returns
-// InvalidArgument, inline and on 4 workers, and at least one star join
-// meets the mismatch.
-class TreeShapeMismatchTest : public ::testing::Test {
- protected:
-  static std::unique_ptr<SsbData> Data(bool prefer_kiss, size_t kprime,
-                                       size_t kiss_root_bits) {
-    SsbConfig cfg;
-    cfg.scale_factor = 0.01;
-    cfg.seed = 5;
-    cfg.prefer_kiss = prefer_kiss;
-    cfg.kprime = kprime;
-    cfg.kiss_root_bits = kiss_root_bits;
-    auto data = Generate(cfg);
-    EXPECT_TRUE(data.ok()) << data.status();
-    return data.ok() ? std::move(data).value() : nullptr;
-  }
-
-  static void ExpectColumnOrInvalid(SsbData& data, const PlanKnobs& knobs,
-                                    const std::string& label) {
-    engine::EngineConfig cfg;
-    cfg.threads = 4;
-    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
-    engine::EngineRunner runner(cfg);
-    size_t rejected = 0;
-    for (const auto& id : AllQueryIds()) {
-      auto column = RunColumn(data, id);
-      ASSERT_TRUE(column.ok()) << column.status();
-      for (size_t threads : {1, 4}) {
-        const std::string where =
-            label + " Q" + id + " t=" + std::to_string(threads);
-        auto got = threads == 1 ? RunQppt(data, id, knobs)
-                                : RunQppt(runner, data, id, knobs);
-        if (!got.ok()) {
-          EXPECT_TRUE(got.status().IsInvalidArgument())
-              << where << ": " << got.status();
-          ++rejected;
-          continue;
-        }
-        ASSERT_EQ(got->rows.size(), column->rows.size()) << where;
-        for (size_t i = 0; i < got->rows.size(); ++i) {
-          ASSERT_EQ(got->rows[i], column->rows[i]) << where << " row " << i;
-        }
-      }
-    }
-    EXPECT_GT(rejected, 0u) << label;
-  }
-};
-
-TEST_F(TreeShapeMismatchTest, PrefixBaseAtKprime4WithIntermediatesAt8) {
-  auto data = Data(/*prefer_kiss=*/false, /*kprime=*/4, 26);
-  ASSERT_NE(data, nullptr);
-  PlanKnobs knobs;
-  knobs.table_options = {.kprime = 8, .prefer_kiss = false};
-  ExpectColumnOrInvalid(*data, knobs, "base k'4, intermediates k'8");
-}
-
-// Its own case: a scan that reads the base trees' 256-slot nodes in
-// step with the intermediates' 16-slot ones runs past the latter, which
-// crashes rather than fails.
-TEST_F(TreeShapeMismatchTest, PrefixBaseAtKprime8WithIntermediatesAt4) {
-  auto data = Data(/*prefer_kiss=*/false, /*kprime=*/8, 26);
-  ASSERT_NE(data, nullptr);
-  PlanKnobs knobs;
-  knobs.table_options = {.kprime = 4, .prefer_kiss = false};
-  ExpectColumnOrInvalid(*data, knobs, "base k'8, intermediates k'4");
-}
-
-TEST_F(TreeShapeMismatchTest, KissBaseAndIntermediatesDifferInRootBits) {
-  for (const auto& [base_bits, inter_bits] :
-       {std::pair<size_t, size_t>{26, 20}, std::pair<size_t, size_t>{20, 26}}) {
-    auto data = Data(/*prefer_kiss=*/true, 4, base_bits);
-    ASSERT_NE(data, nullptr);
-    PlanKnobs knobs;
-    knobs.table_options.kiss_root_bits = inter_bits;
-    ExpectColumnOrInvalid(*data, knobs,
-                          "KISS base root bits " + std::to_string(base_bits) +
-                              ", intermediates " + std::to_string(inter_bits));
-  }
-}
-
 // A token cancelled before submission: the query never runs, and a
 // token cancelled from another thread stops a query mid-flight.
 TEST_F(EngineQueryTest, CancelTokenStopsQueries) {
   engine::EngineConfig cfg;
   cfg.threads = 4;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
 
   CancelToken pre_cancelled;
@@ -388,7 +280,6 @@ class VersionedFlightTest : public EngineQueryTest {
   static engine::EngineConfig Threads(size_t threads) {
     engine::EngineConfig cfg;
     cfg.threads = threads;
-    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
     return cfg;
   }
 
@@ -590,15 +481,11 @@ TEST(StagingRingEdgesTest, LiveIndexMatchesClusteredIndex) {
     ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
     ASSERT_TRUE(db.AddTable(std::move(plain)).ok());
     ASSERT_TRUE(db.AddVersionedTable(std::move(live)).ok());
-    TreeOptions opt;
-    opt.kiss_root_bits = 16;
-    ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}, opt).ok());
-    ASSERT_TRUE(db.BuildIndex("plain_g", "fact_plain", {"g"}, {"amount"}, opt)
-                    .ok());
-    ASSERT_TRUE(db.BuildLiveIndex("live_g", "fact_live", {"g"}, opt).ok());
+    ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}).ok());
+    ASSERT_TRUE(db.BuildIndex("plain_g", "fact_plain", {"g"}, {"amount"}).ok());
+    ASSERT_TRUE(db.BuildLiveIndex("live_g", "fact_live", {"g"}).ok());
 
     PlanKnobs knobs;
-    knobs.table_options.kiss_root_bits = 16;
     {
       // The staged path is chosen at bind, from the side itself.
       ExecContext ctx(&db, knobs);

@@ -420,8 +420,8 @@ TEST(PartialOutputsTest, PoolLessSiteHandsOutTheOutput) {
 // the qualifying values, read in place from inline values and duplicate
 // segments. Keys mix single rows, short duplicate lists and lists of
 // several 4 KiB segments (510 values each) over three KISS root buckets
-// of 4096 keys. Without a pool the driver runs one inline morsel as
-// worker 0 and counts none.
+// of 64 keys (the 26/6 split). Without a pool the driver runs one inline
+// morsel as worker 0 and counts none.
 TEST(ValueMorselsTest, RunMorselsVisitEveryValueOnce) {
   Database db;
   {
@@ -432,19 +432,17 @@ TEST(ValueMorselsTest, RunMorselsVisitEveryValueOnce) {
       for (size_t i = 0; i < n; ++i) table->AppendRow(row);
     };
     for (int64_t bucket = 0; bucket < 3; ++bucket) {
-      const int64_t base = bucket << 12;
+      const int64_t base = bucket << 6;
       for (int64_t k = 0; k < 10; ++k) add(base + k, 1);
       for (int64_t k = 10; k < 20; ++k) add(base + k, 3);
       for (int64_t k = 20; k < 23; ++k) add(base + k, 1500 + 700 * k);
     }
     ASSERT_TRUE(db.AddTable(std::move(table)).ok());
   }
-  TreeOptions kiss;
-  kiss.kiss_root_bits = 20;  // 12-bit level-2 fragment: 4096 keys per bucket
-  TreeOptions prefix = kiss;
-  prefix.prefer_kiss = false;
-  ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {}, kiss).ok());
-  ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {}, prefix).ok());
+  ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}).ok());
+  ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {},
+                            TreeOptions{.prefer_kiss = false})
+                  .ok());
   const RowTable& table = *db.table("t").value();
 
   for (const char* name : {"t_kiss", "t_prefix"}) {
@@ -460,9 +458,9 @@ TEST(ValueMorselsTest, RunMorselsVisitEveryValueOnce) {
       // One whole bucket; keys 15–21 of bucket 0 (short lists and two
       // long ones); with more than three workers, a prefix index or
       // inline also key 5 of bucket 0 through key 21 of bucket 2.
-      std::vector<std::pair<int64_t, int64_t>> spans{{0, 4095}, {15, 21}};
+      std::vector<std::pair<int64_t, int64_t>> spans{{0, 63}, {15, 21}};
       if (threads != 2 || index.kiss() == nullptr) {
-        spans.push_back({5, (int64_t{2} << 12) + 21});
+        spans.push_back({5, (int64_t{2} << 6) + 21});
       }
       for (const auto& [lo, hi] : spans) {
         std::vector<uint64_t> want;  // the rids of keys in [lo, hi]
@@ -520,11 +518,11 @@ TEST(ValueMorselsTest, RunMorselsVisitEveryValueOnce) {
       auto count = [&](size_t, uint64_t) { ++calls; };
       auto end = [&](size_t) { ++calls; };
       EXPECT_EQ(engine::RunValueMorsels(site, index,
-                                        KeyPredicate::Range(5 << 12, 6 << 12),
+                                        KeyPredicate::Range(5 << 6, 6 << 6),
                                         {}, count, end),
                 0u);
       EXPECT_EQ(engine::RunValueMorsels(site, index,
-                                        KeyPredicate::Range(100, 200), {},
+                                        KeyPredicate::Range(30, 60), {},
                                         count, end),
                 0u);
       EXPECT_EQ(calls.load(), 0u);
@@ -567,7 +565,6 @@ class SessionReadTest : public ::testing::Test {
 TEST_F(SessionReadTest, ConcurrentPointReadsMatchReference) {
   engine::EngineConfig cfg;
   cfg.threads = 2;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   cfg.read_batch_window_us = 500;
   engine::EngineRunner runner(cfg);
   constexpr size_t kClients = 8;
@@ -657,7 +654,6 @@ TEST(SessionNegativeRangeTest, KissRangeReadsMatchPrefix) {
   auto make = [&](bool prefer_kiss) {
     TreeOptions opt;
     opt.prefer_kiss = prefer_kiss;
-    opt.kiss_root_bits = 20;
     auto table = IndexedTable::Create(schema, {"k"}, opt);
     EXPECT_TRUE(table.ok());
     for (int64_t k = -100; k <= 100; ++k) {

@@ -48,9 +48,7 @@ std::unique_ptr<Database> MakeDb() {
   table->CommitTransaction(txn, ts);
   tm.FinishCommit(txn, ts);
   EXPECT_TRUE(db->AddVersionedTable(std::move(table)).ok());
-  TreeOptions opt;
-  opt.kiss_root_bits = 16;
-  EXPECT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
+  EXPECT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}).ok());
   return db;
 }
 
@@ -290,10 +288,7 @@ TEST(WriteSessionTest, HtapMetricsCountTheWorkload) {
 // see kInitialRows + c*kBatch rows and v(k=0) == c. TSan target.
 TEST(WriteSessionTest, ConcurrentWritersAndSnapshotReaders) {
   auto db = MakeDb();
-  // Deliberately oversubscribe tiny CI machines: interleavings matter
-  // more than throughput here.
-  EngineRunner engine(
-      EngineConfig{.threads = 2, .clamp_threads_to_hardware = false});
+  EngineRunner engine(EngineConfig{.threads = 2});
 
   constexpr int64_t kCommits = 60;
   constexpr int64_t kBatch = 8;
@@ -380,8 +375,7 @@ TEST(WriteSessionTest, LivePrefixTopMovesUnderSnapshotReaders) {
     TreeOptions opt;
     opt.prefer_kiss = false;
     ASSERT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
-    EngineRunner engine(
-        EngineConfig{.threads = 2, .clamp_threads_to_hardware = false});
+    EngineRunner engine(EngineConfig{.threads = 2});
     const Timestamp base_ts = db->txn_manager().last_commit_ts();
     auto run = [&](KeyPredicate predicate, PlanStats* stats) {
       SelectionSpec sel;

@@ -61,9 +61,7 @@ std::unique_ptr<Database> MakeDb() {
   table->CommitTransaction(txn, ts);
   tm.FinishCommit(txn, ts);
   EXPECT_TRUE(db->AddVersionedTable(std::move(table)).ok());
-  TreeOptions opt;
-  opt.kiss_root_bits = 16;
-  EXPECT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
+  EXPECT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}).ok());
   return db;
 }
 
@@ -122,7 +120,6 @@ class FaultInjectionTest : public ::testing::Test {
   static engine::EngineConfig ParallelConfig() {
     EngineConfig cfg;
     cfg.threads = 2;
-    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
     return cfg;
   }
 

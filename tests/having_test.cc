@@ -27,11 +27,8 @@ class HavingTest : public ::testing::Test {
       reference_[sku] += Int64FromSlot(row[1]);
     }
     ASSERT_TRUE(db_.AddTable(std::move(orders)).ok());
-    TreeOptions opt;
-    opt.kiss_root_bits = 16;
     ASSERT_TRUE(
-        db_.BuildIndex("orders_by_sku", "orders", {"sku"}, {"amount"}, opt)
-            .ok());
+        db_.BuildIndex("orders_by_sku", "orders", {"sku"}, {"amount"}).ok());
   }
 
   // Builds the group-by plan: sum(amount) per sku, then HAVING.
@@ -164,9 +161,7 @@ class DoubleHavingTest : public ::testing::Test {
       t->AppendRow(row);
     }
     ASSERT_TRUE(db_.AddTable(std::move(t)).ok());
-    TreeOptions opt;
-    opt.kiss_root_bits = 16;
-    ASSERT_TRUE(db_.BuildIndex("t_by_g", "t", {"g"}, {"x", "price"}, opt).ok());
+    ASSERT_TRUE(db_.BuildIndex("t_by_g", "t", {"g"}, {"x", "price"}).ok());
   }
 
   // The groups whose aggregate `term` (named "agg") passes `residual`.

@@ -21,14 +21,8 @@ Schema TupleSchema() {
                  {"brand", ValueType::kInt64, nullptr}});
 }
 
-TreeOptions SmallKiss() {
-  TreeOptions opt;
-  opt.kiss_root_bits = 20;
-  return opt;
-}
-
 TEST(IndexedTableTest, SingleIntKeyUsesKiss) {
-  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, SmallKiss());
+  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"});
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->kind(), IndexedTable::Kind::kKiss);
 }
@@ -70,33 +64,8 @@ TEST(IndexedTableTest, RejectsMoreKeyColumnsThanAKeyHolds) {
   EXPECT_EQ((*four)->num_keys(), 1u);
 }
 
-// Tree shapes outside the trees' ranges hang (kprime 0: a zero-width
-// fragment never advances the walk) or crash (level-2 nodes wider than a
-// slab chunk) once asserts are compiled out, so Create rejects them.
-TEST(IndexedTableTest, RejectsOutOfRangeTreeOptions) {
-  const std::pair<size_t, size_t> bad[] = {{0, 26}, {17, 26}, {4, 15}, {4, 27}};
-  for (auto [kprime, root_bits] : bad) {
-    TreeOptions opt;
-    opt.kprime = kprime;
-    opt.kiss_root_bits = root_bits;
-    for (bool prefer_kiss : {true, false}) {
-      opt.prefer_kiss = prefer_kiss;
-      auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, opt);
-      EXPECT_TRUE(table.status().IsInvalidArgument())
-          << kprime << "/" << root_bits << ": " << table.status();
-    }
-  }
-  const std::pair<size_t, size_t> edges[] = {{1, 16}, {16, 26}};
-  for (auto [kprime, root_bits] : edges) {
-    TreeOptions opt;
-    opt.kprime = kprime;
-    opt.kiss_root_bits = root_bits;
-    EXPECT_TRUE(IndexedTable::Create(TupleSchema(), {"orderdate"}, opt).ok());
-  }
-}
-
 TEST(IndexedTableTest, InsertAndScanInKeyOrder) {
-  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, SmallKiss());
+  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"});
   ASSERT_TRUE(table.ok());
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
@@ -377,7 +346,6 @@ TEST(IndexedTableTest, SingleKeyAggregationOnPrefix) {
   AggSpec agg({{AggFn::kSum, ScalarExpr::Column("rev"), "total"},
                {AggFn::kCount, {}, "n"}});
   TreeOptions opt;
-  opt.kiss_root_bits = 20;
   ASSERT_TRUE(opt.prefer_kiss);
   auto table = IndexedTable::CreateAggregated(
       {{"date", ValueType::kInt64, nullptr}}, agg, input, opt);
@@ -418,7 +386,7 @@ TEST(IndexedTableTest, AggregateKeysMustLead) {
 }
 
 TEST(IndexedTableTest, MemoryUsageGrows) {
-  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"}, SmallKiss());
+  auto table = IndexedTable::Create(TupleSchema(), {"orderdate"});
   ASSERT_TRUE(table.ok());
   size_t before = (*table)->MemoryUsage();
   for (int i = 0; i < 10000; ++i) {

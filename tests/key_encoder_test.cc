@@ -133,11 +133,6 @@ TEST(KeyEncoderTest, ClearResets) {
   EXPECT_EQ(DecodeU32(k.data()), 2u);
 }
 
-TEST(KeyEncoderTest, KeyToHex) {
-  uint8_t key[3] = {0x00, 0xAB, 0xFF};
-  EXPECT_EQ(KeyToHex(key, 3), "00abff");
-}
-
 TEST(KeyEncoderTest, CompareKeysMatchesMemcmp) {
   uint8_t a[4] = {1, 2, 3, 4};
   uint8_t b[4] = {1, 2, 3, 5};

@@ -35,9 +35,6 @@ constexpr int64_t kNumRegions = 5;
 class OperatorsTest : public ::testing::Test {
  public:
   void SetUp() override {
-    TreeOptions opt;
-    opt.kiss_root_bits = 20;
-
     {
       Schema schema({{"partkey", ValueType::kInt64, nullptr},
                      {"brand", ValueType::kInt64, nullptr}});
@@ -51,10 +48,9 @@ class OperatorsTest : public ::testing::Test {
       }
       ASSERT_TRUE(db_.AddTable(std::move(part)).ok());
       ASSERT_TRUE(
-          db_.BuildIndex("part_brand", "part", {"brand"}, {"partkey"}, opt)
-              .ok());
+          db_.BuildIndex("part_brand", "part", {"brand"}, {"partkey"}).ok());
       ASSERT_TRUE(
-          db_.BuildIndex("part_pk", "part", {"partkey"}, {"brand"}, opt).ok());
+          db_.BuildIndex("part_pk", "part", {"partkey"}, {"brand"}).ok());
     }
     {
       Schema schema({{"custkey", ValueType::kInt64, nullptr},
@@ -68,9 +64,9 @@ class OperatorsTest : public ::testing::Test {
         cust->AppendRow(row);
       }
       ASSERT_TRUE(db_.AddTable(std::move(cust)).ok());
-      ASSERT_TRUE(db_.BuildIndex("cust_region", "customer", {"region"},
-                                 {"custkey"}, opt)
-                      .ok());
+      ASSERT_TRUE(
+          db_.BuildIndex("cust_region", "customer", {"region"}, {"custkey"})
+              .ok());
     }
     {
       Schema schema({{"orderdate", ValueType::kInt64, nullptr},
@@ -90,10 +86,10 @@ class OperatorsTest : public ::testing::Test {
       }
       ASSERT_TRUE(db_.AddTable(std::move(sales)).ok());
       ASSERT_TRUE(db_.BuildIndex("sales_partkey", "sales", {"partkey"},
-                                 {"orderdate", "custkey", "amount"}, opt)
+                                 {"orderdate", "custkey", "amount"})
                       .ok());
       ASSERT_TRUE(db_.BuildIndex("sales_custkey", "sales", {"custkey"},
-                                 {"orderdate", "partkey", "amount"}, opt)
+                                 {"orderdate", "partkey", "amount"})
                       .ok());
     }
   }
@@ -101,7 +97,6 @@ class OperatorsTest : public ::testing::Test {
   PlanKnobs Knobs(size_t buffer = 512) {
     PlanKnobs knobs;
     knobs.join_buffer_size = buffer;
-    knobs.table_options.kiss_root_bits = 20;
     return knobs;
   }
 
@@ -405,10 +400,8 @@ TEST_F(OperatorsTest, MultidimensionalSelection) {
   // §4.1: conjunctive predicates prefer a multidimensional index as
   // input. Box predicate (brand in [5, 9]) AND (partkey in [100, 300])
   // over a composite (brand, partkey) index.
-  TreeOptions opt;
-  opt.kiss_root_bits = 20;
   ASSERT_TRUE(db_.BuildIndex("part_brand_pk", "part", {"brand", "partkey"},
-                             {"partkey", "brand"}, opt)
+                             {"partkey", "brand"})
                   .ok());
   ExecContext ctx(&db_, Knobs());
   SelectionSpec spec;
@@ -524,7 +517,6 @@ TEST(StarJoinFamiliesTest, ExtremeKeysJoinIdenticallyAcrossFamilies) {
                    {value_col, ValueType::kInt64, nullptr}});
     TreeOptions opt;
     opt.prefer_kiss = prefer_kiss;
-    opt.kiss_root_bits = 20;
     auto table = IndexedTable::Create(schema, {"k"}, opt);
     EXPECT_TRUE(table.ok());
     int64_t v = value_base;
@@ -657,6 +649,76 @@ TEST_F(OperatorsTest, PooledOperatorsPollCancellationPerMorsel) {
   expect_unwinds(&select_join);
 }
 
+// The synchronous scans walk both mains' trees in lock step, and a
+// hand-built plan can still pair mains of different shapes: two prefix
+// mains of different key widths, or a KISS main with a prefix main that
+// is not one 8-byte key. Such a star join is an InvalidArgument before
+// any scan, inline and on a pool. Each join runs under a pre-cancelled
+// token, so a scan would unwind with CancelledException before its first
+// morsel, as the matching control pair does.
+class StarJoinShapeTest : public OperatorsTest {
+ public:
+  void SetUp() override {
+    OperatorsTest::SetUp();
+    ASSERT_TRUE(db_.BuildIndex("sales_pk_prefix", "sales", {"partkey"},
+                               {"amount"}, TreeOptions{.prefer_kiss = false})
+                    .ok());
+    ASSERT_TRUE(db_.BuildIndex("sales_pk_cust", "sales",
+                               {"partkey", "custkey"}, {"amount"})
+                    .ok());
+  }
+
+  // The star join of `left` with `right`: its Status, or the Status of
+  // the CancelledException a scan threw.
+  Status Run(const char* left, const char* right, bool pooled) {
+    CancelToken cancelled;
+    cancelled.RequestCancel();
+    PlanKnobs knobs = Knobs();
+    knobs.cancel = &cancelled;
+    ExecContext ctx(&db_, knobs);
+    if (pooled) ctx.set_worker_pool(&pool_);
+    StarJoinSpec join;
+    join.left = SideRef::Base(left);
+    join.left_columns = {"amount"};
+    join.right = SideRef::Base(right);
+    join.right_columns = {};
+    join.output = {"result", {"amount"}, {}};
+    StarJoinOp op(join);
+    try {
+      Status st = op.Execute(&ctx);
+      EXPECT_FALSE(ctx.Get("result").ok());
+      EXPECT_TRUE(ctx.stats()->operators.empty());
+      return st;
+    } catch (const CancelledException& e) {
+      return e.status();
+    }
+  }
+
+  // `a` and `b` are rejected in either order, and `a` with `control`
+  // reaches its scan.
+  void ExpectRejected(const char* a, const char* b, const char* control) {
+    for (bool pooled : {false, true}) {
+      const std::string where = pooled ? "pooled" : "inline";
+      Status ab = Run(a, b, pooled);
+      EXPECT_TRUE(ab.IsInvalidArgument()) << where << ": " << ab;
+      Status ba = Run(b, a, pooled);
+      EXPECT_TRUE(ba.IsInvalidArgument()) << where << ": " << ba;
+      Status scanned = Run(a, control, pooled);
+      EXPECT_TRUE(scanned.IsCancelled()) << where << ": " << scanned;
+    }
+  }
+
+  engine::WorkerPool pool_{4};
+};
+
+TEST_F(StarJoinShapeTest, RejectsPrefixMainsOfDifferentKeyWidths) {
+  ExpectRejected("sales_pk_prefix", "sales_pk_cust", "sales_pk_prefix");
+}
+
+TEST_F(StarJoinShapeTest, RejectsKissMainWithTwoColumnPrefixMain) {
+  ExpectRejected("sales_partkey", "sales_pk_cust", "sales_pk_prefix");
+}
+
 // KISS keys are KissKeyOf(v), the low 32 bits of v, so a range whose
 // bounds straddle zero maps to two key ranges (BaseIndex::KissRangesOf).
 // Selection and select-join over a KISS base index must return the rows
@@ -690,9 +752,7 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
     ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
   }
   TreeOptions kiss;
-  kiss.kiss_root_bits = 20;
-  TreeOptions prefix = kiss;
-  prefix.prefer_kiss = false;
+  TreeOptions prefix{.prefer_kiss = false};
   ASSERT_TRUE(db.BuildIndex("t_kiss", "t", {"k"}, {"g"}, kiss).ok());
   ASSERT_TRUE(db.BuildIndex("t_prefix", "t", {"k"}, {"g"}, prefix).ok());
   ASSERT_TRUE(db.BuildIndex("t_kg", "t", {"k", "g"}, {}, prefix).ok());
@@ -704,9 +764,7 @@ TEST(NegativeKeyRangeTest, KissMatchesPrefixSeriallyAndInParallel) {
   using Rows = std::multiset<std::vector<int64_t>>;
   auto run = [&](std::unique_ptr<Operator> op, size_t threads,
                  uint64_t* morsels) {
-    PlanKnobs knobs;
-    knobs.table_options.kiss_root_bits = 20;
-    ExecContext ctx(&db, knobs);
+    ExecContext ctx(&db, PlanKnobs{});
     if (threads > 1) ctx.set_worker_pool(&pool);
     Plan plan;
     plan.Add(std::move(op));
@@ -858,9 +916,7 @@ TEST(InListTest, DuplicatePointsSelectRowsOnce) {
     ASSERT_TRUE(db.AddTable(std::move(sales)).ok());
   }
   TreeOptions kiss;
-  kiss.kiss_root_bits = 20;
-  TreeOptions prefix = kiss;
-  prefix.prefer_kiss = false;
+  TreeOptions prefix{.prefer_kiss = false};
   for (const auto& [suffix, opt] :
        {std::pair{"_kiss", kiss}, std::pair{"_prefix", prefix}}) {
     std::string s(suffix);
@@ -876,9 +932,7 @@ TEST(InListTest, DuplicatePointsSelectRowsOnce) {
 
   using Rows = std::vector<std::vector<int64_t>>;
   auto run = [&](std::unique_ptr<Operator> op) {
-    PlanKnobs knobs;
-    knobs.table_options.kiss_root_bits = 20;
-    ExecContext ctx(&db, knobs);
+    ExecContext ctx(&db, PlanKnobs{});
     Plan plan;
     plan.Add(std::move(op));
     plan.set_result_slot("result");
@@ -975,15 +1029,12 @@ class DoubleResidualTest : public ::testing::Test {
     }
     ASSERT_TRUE(db_.AddTable(std::move(items)).ok());
     ASSERT_TRUE(db_.AddTable(std::move(groups)).ok());
-    TreeOptions opt;
-    opt.kiss_root_bits = 16;
     // The residual reads price from the index payload in one index and
     // from the base table in the other.
     ASSERT_TRUE(
-        db_.BuildIndex("items_payload", "items", {"id"}, {"price"}, opt).ok());
-    ASSERT_TRUE(db_.BuildIndex("items_table", "items", {"id"}, {}, opt).ok());
-    ASSERT_TRUE(
-        db_.BuildIndex("groups_pk", "groups", {"id"}, {"grp"}, opt).ok());
+        db_.BuildIndex("items_payload", "items", {"id"}, {"price"}).ok());
+    ASSERT_TRUE(db_.BuildIndex("items_table", "items", {"id"}).ok());
+    ASSERT_TRUE(db_.BuildIndex("groups_pk", "groups", {"id"}, {"grp"}).ok());
   }
 
   // The sorted prices (column 1) of the plan's "result" rows.
@@ -1080,17 +1131,13 @@ TEST(PhaseTimesTest, MaterializeExcludesTheFold) {
     }
     ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
   }
-  TreeOptions opt;
-  opt.kiss_root_bits = 20;
-  ASSERT_TRUE(db.BuildIndex("fact_k", "fact", {"k"}, {"g"}, opt).ok());
-  ASSERT_TRUE(db.BuildIndex("fact_g", "fact", {"g"}, {"k"}, opt).ok());
-  ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}, opt).ok());
+  ASSERT_TRUE(db.BuildIndex("fact_k", "fact", {"k"}, {"g"}).ok());
+  ASSERT_TRUE(db.BuildIndex("fact_g", "fact", {"g"}, {"k"}).ok());
+  ASSERT_TRUE(db.BuildIndex("dim_g", "dim", {"g"}, {"label"}).ok());
 
   engine::WorkerPool pool(4);
   auto run = [&](std::unique_ptr<Operator> op) {
-    PlanKnobs knobs;
-    knobs.table_options.kiss_root_bits = 20;
-    ExecContext ctx(&db, knobs);
+    ExecContext ctx(&db, PlanKnobs{});
     ctx.set_worker_pool(&pool);
     Plan plan;
     plan.Add(std::move(op));

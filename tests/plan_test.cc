@@ -26,11 +26,8 @@ std::unique_ptr<Database> MakeDb() {
     table->AppendRow(row);
   }
   EXPECT_TRUE(db.AddTable(std::move(table)).ok());
-  TreeOptions opt;
-  opt.kiss_root_bits = 16;
   EXPECT_TRUE(
-      db.BuildIndex("items_by_id", "items", {"id"}, {"color", "score"}, opt)
-          .ok());
+      db.BuildIndex("items_by_id", "items", {"id"}, {"color", "score"}).ok());
   return db_ptr;
 }
 

@@ -217,7 +217,6 @@ TEST_F(PlannerGoldenTest, ExplainLinesUpWithExecutedStats) {
 TEST_F(PlannerGoldenTest, PreparedExecutionMatchesAdHoc) {
   engine::EngineConfig cfg;
   cfg.threads = 2;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
   for (const auto& id : AllQueryIds()) {
     auto reference = RunQppt(*data_, id, PlanKnobs{});

@@ -15,6 +15,7 @@
 #include "core/query/planner.h"
 #include "core/query/query_spec.h"
 #include "engine/session.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace qppt {
@@ -258,7 +259,7 @@ TEST_F(QueryApiTest, PreparedQueryCachesPlansPerKnobsAndParams) {
   engine::EngineRunner runner(cfg);
   auto prepared = runner.Prepare(db_, GadgetSpec(40, 60));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  EXPECT_EQ(prepared->plans_cached(), 1u);  // warmed at Prepare
+  EXPECT_EQ(prepared->plan_cache_misses(), 1u);  // warmed at Prepare
 
   // Repeated default executions reuse the cached plan.
   auto a = runner.Execute(*prepared);
@@ -266,7 +267,6 @@ TEST_F(QueryApiTest, PreparedQueryCachesPlansPerKnobsAndParams) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(prepared->plan_cache_hits(), 2u);
   EXPECT_EQ(prepared->plan_cache_misses(), 1u);
-  EXPECT_EQ(prepared->plans_cached(), 1u);
 
   // New parameter values compile one more plan, then hit.
   query::QueryParams wide = {query::ParamBinding::Lo("gadgets", 10),
@@ -274,7 +274,6 @@ TEST_F(QueryApiTest, PreparedQueryCachesPlansPerKnobsAndParams) {
   auto c = runner.Execute(*prepared, wide);
   auto d = runner.Execute(*prepared, wide);
   ASSERT_TRUE(c.ok() && d.ok());
-  EXPECT_EQ(prepared->plans_cached(), 2u);
   EXPECT_EQ(prepared->plan_cache_misses(), 2u);
   EXPECT_GE(c->rows.size(), a->rows.size());
 
@@ -283,7 +282,7 @@ TEST_F(QueryApiTest, PreparedQueryCachesPlansPerKnobsAndParams) {
   no_fusion.use_select_join = false;
   auto e = runner.Execute(*prepared, {}, no_fusion);
   ASSERT_TRUE(e.ok());
-  EXPECT_EQ(prepared->plans_cached(), 3u);
+  EXPECT_EQ(prepared->plan_cache_misses(), 3u);
 
   // Results through the prepared path match the ad-hoc planner path.
   auto want = Reference(10, 99);
@@ -366,14 +365,20 @@ TEST_F(QueryApiTest, PreparedPlanCacheIsBounded) {
   auto prepared = runner.Prepare(db_, GadgetSpec(40, 60));
   ASSERT_TRUE(prepared.ok());
   // A workload with ever-changing parameter values must not grow the
-  // cache without bound (FIFO eviction kicks in).
+  // cache without bound: past 64 plans, each new one FIFO-evicts one.
+  auto evictions = [] {
+    return obs::MetricsRegistry::Global().Snapshot().CounterValue(
+        "engine_plan_cache_evictions_total");
+  };
+  const uint64_t evictions_before = evictions();
   for (int64_t lo = 0; lo < 100; ++lo) {
     auto r = runner.Execute(
         *prepared, {query::ParamBinding::Lo("gadgets", lo),
                     query::ParamBinding::Hi("gadgets", lo + 5)});
     ASSERT_TRUE(r.ok()) << r.status();
   }
-  EXPECT_LE(prepared->plans_cached(), 64u);
+  EXPECT_EQ(prepared->plan_cache_misses(), 101u);
+  EXPECT_EQ(evictions() - evictions_before, 101u - 64u);
   // The prepared query still answers correctly after evictions.
   auto r = runner.Execute(*prepared);
   ASSERT_TRUE(r.ok());

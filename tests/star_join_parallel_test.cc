@@ -96,7 +96,6 @@ TEST_F(StarJoinParallelTest, AllFamilyCombosAgreeWithSerialAcrossThreads) {
       for (size_t threads : {1, 2, 8}) {
         engine::EngineConfig cfg;
         cfg.threads = threads;
-        cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
         engine::EngineRunner runner(cfg);
         PlanStats stats;
         auto got = RunQppt(runner, *combo.data, id, knobs, &stats);
@@ -119,7 +118,6 @@ TEST_F(StarJoinParallelTest, PrefixMainsStarJoinRunsMorselParallel) {
   knobs.table_options.prefer_kiss = false;
   engine::EngineConfig cfg;
   cfg.threads = 8;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
   for (const std::string id : {"2.1", "3.1"}) {
     PlanStats stats;
@@ -142,7 +140,6 @@ TEST_F(StarJoinParallelTest, MixedMainsStarJoinRunsMorselParallel) {
   knobs.table_options.prefer_kiss = false;  // intermediates prefix
   engine::EngineConfig cfg;
   cfg.threads = 8;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
   PlanStats stats;
   auto result = RunQppt(runner, *kiss_data_, "2.1", knobs, &stats);
@@ -170,7 +167,6 @@ TEST_F(StarJoinParallelTest, PlainMergesPreserveResults) {
     ASSERT_TRUE(reference.ok()) << reference.status();
     engine::EngineConfig cfg;
     cfg.threads = 8;
-    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
     engine::EngineRunner runner(cfg);
     PlanStats stats;
     auto got = RunQppt(runner, *kiss_data_, "1.1", knobs, &stats);
@@ -188,7 +184,6 @@ TEST_F(StarJoinParallelTest, PlainMergesPreserveResults) {
     ASSERT_TRUE(reference.ok()) << reference.status();
     engine::EngineConfig cfg;
     cfg.threads = 8;
-    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
     engine::EngineRunner runner(cfg);
     PlanStats stats;
     auto got = RunQppt(runner, *kiss_data_, "4.1", knobs, &stats);
@@ -215,7 +210,6 @@ TEST_F(StarJoinParallelTest, AggregatedMergeMatchesSerialOnFactAggregation) {
   engine::EngineRunner serial_runner(serial_cfg);
   engine::EngineConfig cfg;
   cfg.threads = 8;
-  cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
   engine::EngineRunner runner(cfg);
 
   struct Shape {

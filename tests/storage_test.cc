@@ -68,29 +68,6 @@ TEST(DictionaryTest, MissingEntryIsNotFound) {
   EXPECT_TRUE(dict.CodeOf("zzz").status().IsNotFound());
 }
 
-TEST(DictionaryTest, BoundsForRangePredicates) {
-  // SSB Q2.2: p_brand1 between 'MFGR#2221' and 'MFGR#2228'.
-  Dictionary dict;
-  for (int i = 2220; i <= 2230; ++i) {
-    dict.Add("MFGR#" + std::to_string(i));
-  }
-  dict.Seal();
-  int64_t lo = dict.LowerBoundCode("MFGR#2221");
-  int64_t hi = dict.UpperBoundCode("MFGR#2228");
-  EXPECT_EQ(hi - lo, 8);  // 2221..2228 inclusive
-  EXPECT_EQ(dict.StringOf(lo), "MFGR#2221");
-  EXPECT_EQ(dict.StringOf(hi - 1), "MFGR#2228");
-}
-
-TEST(DictionaryTest, BoundsBeyondEnd) {
-  Dictionary dict;
-  dict.Add("a");
-  dict.Add("b");
-  dict.Seal();
-  EXPECT_EQ(dict.LowerBoundCode("zzz"), 2);
-  EXPECT_EQ(dict.UpperBoundCode("b"), 2);
-}
-
 // ---- Schema ----------------------------------------------------------------------
 
 Schema TestSchema() {

@@ -115,17 +115,6 @@ TEST(ArenaTest, AllocationsDoNotOverlap) {
   }
 }
 
-TEST(ArenaTest, ResetReclaims) {
-  Arena arena;
-  arena.Allocate(1000);
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  void* p = arena.Allocate(8);
-  EXPECT_NE(p, nullptr);
-}
-
 TEST(ArenaTest, NewConstructsObject) {
   Arena arena;
   struct Point {
@@ -135,29 +124,6 @@ TEST(ArenaTest, NewConstructsObject) {
   Point* p = arena.New<Point>(3, 4);
   EXPECT_EQ(p->x, 3);
   EXPECT_EQ(p->y, 4);
-}
-
-TEST(ArenaTest, ReusableAcrossRepeatedResets) {
-  Arena arena(/*block_size=*/512);
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    std::vector<char*> allocs;
-    for (int i = 0; i < 50; ++i) {
-      char* p = static_cast<char*>(arena.Allocate(64));
-      std::memset(p, cycle, 64);
-      allocs.push_back(p);
-    }
-    EXPECT_EQ(arena.bytes_allocated(), 50u * 64u);
-    EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
-    // All allocations from this cycle are intact before the reset.
-    for (char* p : allocs) {
-      for (size_t j = 0; j < 64; ++j) {
-        ASSERT_EQ(p[j], static_cast<char>(cycle));
-      }
-    }
-    arena.Reset();
-    EXPECT_EQ(arena.bytes_allocated(), 0u);
-    EXPECT_EQ(arena.bytes_reserved(), 0u);
-  }
 }
 
 TEST(PageArenaTest, PowerOfTwoAllocationsNeverStraddlePages) {
